@@ -22,9 +22,13 @@ loops perturb thousands of times.
   level instead of one dict operation per node.
 
 :class:`CompiledTree` pairs a topology with three value vectors. Both
-sweep directions accept arrays of shape ``(..., n)``, so a single code
-path serves one tree and a stacked ``(S, n)`` batch of S value
-scenarios.
+sweep directions accept **node-major** arrays of shape ``(n, ...)``, so
+a single code path serves one tree's ``(n,)`` vector and an ``(n, S)``
+block of S value scenarios. Node-major is what makes the batch sweeps
+cheap: every level step gathers and scatters whole contiguous rows of S
+values instead of S strided columns (see
+:func:`repro.engine.table.batch_metrics`, the one place that turns
+scenario-major ``(S, n)`` matrices into this layout).
 
 Because design loops (Monte-Carlo variation, wire sizing, clock tuning)
 rebuild trees with identical structure, :func:`compile_tree` keys a
@@ -224,10 +228,10 @@ class CompiledTopology:
     def accumulate(self, weights: np.ndarray) -> np.ndarray:
         """Subtree totals of per-node ``weights`` (``Cal_Cap_Loads``).
 
-        ``weights`` has shape ``(..., n)``; the return value is the sum
-        of each node's own weight plus its whole subtree's. One
-        segment-sum per level, deepest first — additions only, exactly
-        the Appendix's postorder pass.
+        ``weights`` is node-major, shape ``(n, ...)``; the return value
+        (same shape, C-contiguous) is the sum of each node's own weight
+        plus its whole subtree's. One segment-sum per level, deepest
+        first — additions only, exactly the Appendix's postorder pass.
         """
         ops = active_array_backend()
         sweep = _sweep_ops(ops)
@@ -242,18 +246,19 @@ class CompiledTopology:
             return _emit(
                 ops,
                 sweep,
-                xp.ascontiguousarray(xp.cumsum(w[..., ::-1], axis=-1)[..., ::-1]),
+                xp.ascontiguousarray(xp.cumsum(w[::-1], axis=0)[::-1]),
             )
-        acc = xp.array(_ingest(ops, sweep, weights), copy=True)
+        acc = xp.array(_ingest(ops, sweep, weights), copy=True, order="C")
         for group in self.levels[:0:-1]:  # deepest level down to level 2
             # Sibling segments tile the level (starts[0] == 0, ends
             # chain to nodes.size), so reduceat sums each parent's
             # children with additions only. A cumsum-and-subtract
             # segmented sum would carry absolute error at the scale of
             # the *level* total — catastrophic for a tiny subtree next
-            # to large siblings.
-            acc[..., group.parents] += sweep.add_reduceat(
-                acc[..., group.nodes], group.starts, axis=-1
+            # to large siblings. Per scenario, reduceat along the node
+            # axis associates exactly like the 1-D reduceat.
+            acc[group.parents] += sweep.add_reduceat(
+                acc[group.nodes], group.starts, axis=0
             )
         return _emit(ops, sweep, acc)
 
@@ -261,7 +266,8 @@ class CompiledTopology:
         """Root-to-node prefix sums of ``contrib`` (``Cal_Summations``).
 
         ``out[i] = out[parent(i)] + contrib[i]`` with the root
-        contributing zero; one gather + add per level, shallow first.
+        contributing zero; one row gather + add per level, shallow
+        first. ``contrib`` is node-major, shape ``(n, ...)``.
         """
         ops = active_array_backend()
         sweep = _sweep_ops(ops)
@@ -270,20 +276,21 @@ class CompiledTopology:
         if self.is_chain:
             # Plain running sum — the level loop's exact association
             # (accumulator + contrib, one element per step).
-            return _emit(ops, sweep, xp.cumsum(contrib, axis=-1))
+            return _emit(ops, sweep, xp.cumsum(contrib, axis=0))
         n = self.size
-        out = xp.zeros(contrib.shape[:-1] + (n + 1,))
+        out = xp.zeros((n + 1,) + contrib.shape[1:])
         for group in self.levels:
             idx = group.nodes
-            out[..., idx] = out[..., self.parent[idx]] + contrib[..., idx]
-        return _emit(ops, sweep, out[..., :n])
+            out[idx] = out[self.parent[idx]] + contrib[idx]
+        return _emit(ops, sweep, out[:n])
 
     def descend2(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Prefix sums of two addends with the dict sweep's association.
 
         Evaluates ``out[i] = (out[parent(i)] + first[i]) + second[i]``,
         the exact floating-point grouping of
-        :func:`repro.analysis.moments.weighted_path_sums`.
+        :func:`repro.analysis.moments.weighted_path_sums`. Both addends
+        are node-major, shape ``(n, ...)``.
         """
         ops = active_array_backend()
         sweep = _sweep_ops(ops)
@@ -291,13 +298,25 @@ class CompiledTopology:
         first = _ingest(ops, sweep, first)
         second = _ingest(ops, sweep, second)
         n = self.size
-        out = xp.zeros(first.shape[:-1] + (n + 1,))
+        out = xp.zeros((n + 1,) + first.shape[1:])
         for group in self.levels:
             idx = group.nodes
-            out[..., idx] = (
-                out[..., self.parent[idx]] + first[..., idx]
-            ) + second[..., idx]
-        return _emit(ops, sweep, out[..., :n])
+            out[idx] = (out[self.parent[idx]] + first[idx]) + second[idx]
+        return _emit(ops, sweep, out[:n])
+
+    def second_order_sums(
+        self, resistance: np.ndarray, inductance: np.ndarray, capacitance: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(T_RC, T_LC)`` at every node (eqs. 26-27) for node-major
+        value arrays of shape ``(n, ...)``: one tree's vectors or an
+        ``(n, S)`` scenario block, through the same two passes."""
+        # Values cross into the active backend before mixing with the
+        # (possibly device-resident) load sums; identity for NumPy.
+        ops = active_array_backend()
+        loads = self.accumulate(capacitance)
+        t_rc = self.descend(ops.asarray(resistance) * loads)
+        t_lc = self.descend(ops.asarray(inductance) * loads)
+        return t_rc, t_lc
 
     # -- structural queries ------------------------------------------------
 
@@ -460,15 +479,9 @@ class CompiledTree:
 
     def second_order_sums(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(T_RC, T_LC)`` arrays at every node (eqs. 26-27), O(n)."""
-        # Value vectors cross into the active backend before mixing with
-        # the (possibly device-resident) load sums; identity for NumPy.
-        ops = active_array_backend()
-        loads = self.capacitive_loads()
-        r = ops.asarray(self.resistance)
-        l = ops.asarray(self.inductance)
-        t_rc = self.topology.descend(r * loads)
-        t_lc = self.topology.descend(l * loads)
-        return t_rc, t_lc
+        return self.topology.second_order_sums(
+            self.resistance, self.inductance, self.capacitance
+        )
 
     def weighted_path_sums(
         self, resistance_weights: np.ndarray, inductance_weights: np.ndarray

@@ -86,6 +86,7 @@ from .kernels import (
     fast_path_eligible,
     metrics_from_sums,
 )
+from .table import batch_metrics
 
 try:  # pragma: no cover - always present on supported platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -787,12 +788,13 @@ def run_batch_shard(shard: BatchShard) -> Tuple[int, str, Dict[str, Any]]:
             rows = _attach_view(shard.block)[shard.start:shard.stop]
         else:
             rows = shard.block
-        r, l, c = rows[:, 0, :], rows[:, 1, :], rows[:, 2, :]
-        loads = topology.accumulate(c)
-        t_rc = topology.descend(r * loads)
-        t_lc = topology.descend(l * loads)
-        metrics = metrics_from_sums(
-            t_rc, t_lc, shard.settle_band, select=shard.select
+        metrics = batch_metrics(
+            topology,
+            rows[:, 0, :],
+            rows[:, 1, :],
+            rows[:, 2, :],
+            shard.settle_band,
+            shard.select,
         )
         if shard.out is not None:
             out = _attach_view(shard.out)

@@ -73,7 +73,13 @@ def _scaled_delay(xp, zeta):
     bitwise identical — pinned by the backend equivalence suite.
     """
     a, b, c = DELAY_FIT_COEFFICIENTS
-    return a * xp.exp(-zeta / b) + c * zeta
+    # a * exp(-zeta / b) + c * zeta, evaluated in place.
+    scaled = -zeta
+    scaled /= b
+    scaled = xp.exp(scaled)
+    scaled *= a
+    scaled += c * zeta
+    return scaled
 
 
 def _scaled_rise(xp, zeta):
@@ -188,26 +194,38 @@ def metrics_from_sums(
         # multiplication form SecondOrderModel.from_sums builds, which
         # is what every metric formula consumes — kept separate so both
         # match their scalar twins bit for bit.
+        #
+        # Temporaries are dropped as soon as they are dead and combined
+        # in place where the operation is unchanged (``x = x * y`` and
+        # ``x *= y`` round identically): on a large batch every live
+        # intermediate is a full (n, S) block.
         if need_model or want & {"zeta", "omega_n"}:
             root_lc = xp.sqrt(t_lc)
         if "zeta" in want:
             out["zeta"] = xp.where(rc, np.inf, 0.5 * t_rc / root_lc)
         if need_model or "omega_n" in want:
-            omega_n = xp.where(rc, np.inf, 1.0 / root_lc)
+            # One reciprocal serves omega_n and zeta_model.
+            inv_root_lc = 1.0 / root_lc
+            del root_lc
+            omega_n = xp.where(rc, np.inf, inv_root_lc)
             if "omega_n" in want:
                 out["omega_n"] = omega_n
-        if need_model:
-            zeta_model = 0.5 * t_rc * xp.where(rc, np.nan, 1.0 / root_lc)
+            if need_model:
+                zeta_model = 0.5 * t_rc
+                zeta_model *= xp.where(rc, np.nan, inv_root_lc)
+            del inv_root_lc
 
         # Delay and rise time (eqs. 33-36; RC limit: Elmore/Wyatt).
         if "delay_50" in want:
-            out["delay_50"] = xp.where(
-                rc, _LN2 * t_rc, _scaled_delay(xp, zeta_model) / omega_n
-            )
+            scaled = _scaled_delay(xp, zeta_model)
+            scaled /= omega_n
+            out["delay_50"] = xp.where(rc, _LN2 * t_rc, scaled)
+            del scaled
         if "rise_time" in want:
-            out["rise_time"] = xp.where(
-                rc, _LN9 * t_rc, _scaled_rise(xp, zeta_model) / omega_n
-            )
+            scaled = _scaled_rise(xp, zeta_model)
+            scaled /= omega_n
+            out["rise_time"] = xp.where(rc, _LN9 * t_rc, scaled)
+            del scaled
 
         if need_ring:
             # Only underdamped lanes ring (NaN compares False at RC).

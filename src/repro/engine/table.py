@@ -30,8 +30,7 @@ import numpy as np
 
 from ..circuit.tree import RLCTree
 from ..errors import ReductionError, TopologyError
-from .backend import active_array_backend
-from .compiled import CompiledTree, compile_tree
+from .compiled import CompiledTopology, CompiledTree, compile_tree
 from .kernels import (
     METRIC_NAMES,
     MetricArrays,
@@ -45,6 +44,7 @@ __all__ = [
     "BatchTiming",
     "evaluate",
     "analyze_batch",
+    "batch_metrics",
     "iter_analyze_batch",
     "timing_table",
 ]
@@ -372,18 +372,45 @@ def analyze_batch(
     select = None
     if metrics is not None:
         select = tuple(_metric_field(metric) for metric in metrics)
-    # The S x n value matrices cross into the active array backend here
-    # (identity for NumPy), so the whole sweep + metric pipeline below
-    # runs in one backend's array type.
-    ops = active_array_backend()
-    topology = compiled.topology
-    loads = topology.accumulate(c)
-    t_rc = topology.descend(ops.asarray(r) * loads)
-    t_lc = topology.descend(ops.asarray(l) * loads)
     return BatchTiming(
         names=compiled.names,
         settle_band=settle_band,
-        metrics=metrics_from_sums(t_rc, t_lc, settle_band, select=select),
+        metrics=batch_metrics(compiled.topology, r, l, c, settle_band, select),
+    )
+
+
+def batch_metrics(
+    topology: CompiledTopology,
+    r: np.ndarray,
+    l: np.ndarray,
+    c: np.ndarray,
+    settle_band: float,
+    select: Optional[Tuple[str, ...]] = None,
+) -> MetricArrays:
+    """Sums and metrics of S scenarios: the batch engine's one kernel.
+
+    Takes scenario-major ``(S, n)`` R/L/C matrices and returns
+    :class:`MetricArrays` of ``(S, n)`` arrays, but runs both Appendix
+    sweeps and the metric kernels **node-major**, on ``(n, S)`` blocks:
+    each level step then gathers contiguous rows of S values instead
+    of S strided columns. The transpose in is free when the matrices
+    are already node-major underneath (the staging buffer of
+    :func:`iter_analyze_batch` is) and costs one copy otherwise; the
+    transpose out is a view. Every scenario's results are bitwise those
+    of the 1-D :func:`evaluate` on its own values — the layout changes
+    which memory an operation touches, never its operands or their
+    association.
+    """
+    t_rc, t_lc = topology.second_order_sums(
+        *(np.ascontiguousarray(v.T) for v in (r, l, c))
+    )
+    sums = metrics_from_sums(t_rc, t_lc, settle_band, select=select)
+    return MetricArrays(
+        **{
+            name: None if values is None else values.T
+            for name in METRIC_NAMES
+            for values in (getattr(sums, name),)
+        }
     )
 
 
@@ -403,7 +430,11 @@ def iter_analyze_batch(
     ``fill(view, lo, hi)`` writes scenario rows ``[lo, hi)`` into
     ``view`` — shape ``(hi - lo, 3, n)``, a slice of one preallocated
     buffer reused for every chunk — so peak value-matrix memory is
-    ``O(chunk_size x n)`` however large ``scenarios`` is. Yields
+    ``O(chunk_size x n)`` however large ``scenarios`` is. The buffer
+    is node-major underneath: ``view[:, k, :]`` is the transpose of a
+    C-contiguous ``(n, chunk)`` plane, so a ``fill`` that writes each
+    slot in that memory order (``order="F"`` on a ufunc ``out=``) and
+    the batch kernel both stream contiguous memory. Yields
     ``(lo, BatchTiming)`` pairs in offset order; the chunk results are
     bitwise identical to the corresponding rows of one eager
     :func:`analyze_batch` over the full block.
@@ -433,7 +464,8 @@ def iter_analyze_batch(
     def chunks():
         if scenarios == 0:
             return
-        buffer = np.empty((min(chunk_size, scenarios), 3, compiled.size))
+        rows = min(chunk_size, scenarios)
+        buffer = np.empty((3, compiled.size, rows)).transpose(2, 0, 1)
         for lo in range(0, scenarios, chunk_size):
             hi = min(lo + chunk_size, scenarios)
             view = buffer[: hi - lo]

@@ -65,9 +65,18 @@ class _ChunkContext:
         return block
 
 
-def _evaluate_roots(sweep: CompiledSweep, ctx: _ChunkContext):
-    """The three root values for one chunk, honoring the CSE flag."""
+def _evaluate_roots(sweep: CompiledSweep, ctx: _ChunkContext, slots):
+    """Write the three root values for one chunk into ``slots`` (the
+    staging buffer's R, L and C planes), honoring the CSE flag.
+
+    Each root is computed straight into its slot through ``out=``, so a
+    chunk allocates no ``(chunk, n)`` temporary per root. Under CSE a
+    node that is the root of several slots is computed once and copied.
+    """
     if sweep.cse:
+        targets: Dict[Expr, list] = {}
+        for root, slot in zip(sweep.roots, slots):
+            targets.setdefault(root, []).append(slot)
         # Reference-counted schedule: drop a value from the memo the
         # moment its last consumer has run. Holding every intermediate
         # of the whole schedule alive defeats the allocator's buffer
@@ -76,8 +85,6 @@ def _evaluate_roots(sweep: CompiledSweep, ctx: _ChunkContext):
         for node in sweep.order:
             for dep in node.deps:
                 remaining[dep] = remaining.get(dep, 0) + 1
-        for root in sweep.roots:
-            remaining[root] = remaining.get(root, 0) + 1
         memo: Dict[Expr, object] = {}
         for node in sweep.order:
             args = []
@@ -86,8 +93,16 @@ def _evaluate_roots(sweep: CompiledSweep, ctx: _ChunkContext):
                 remaining[dep] -= 1
                 if remaining[dep] == 0:
                     del memo[dep]
-            memo[node] = node._compute(ctx, args)
-        return tuple(memo[root] for root in sweep.roots)
+            if node in targets:
+                first, *rest = targets[node]
+                node._compute_into(ctx, args, first)
+                for slot in rest:
+                    slot[...] = first
+                if remaining.get(node):
+                    memo[node] = first
+            else:
+                memo[node] = node._compute(ctx, args)
+        return
 
     # CSE disabled: re-walk the expression *tree*, recomputing shared
     # subtrees at every reference. Stateful nodes stay memoized so an
@@ -102,7 +117,25 @@ def _evaluate_roots(sweep: CompiledSweep, ctx: _ChunkContext):
             stateful[node] = value
         return value
 
-    return tuple(evaluate(root) for root in sweep.roots)
+    for root, slot in zip(sweep.roots, slots):
+        root._compute_into(ctx, [evaluate(dep) for dep in root.deps], slot)
+
+
+def _check_sections(sweep: CompiledSweep, sections: int) -> None:
+    """Fail before the first chunk when a factor axis or a constant
+    vector does not span the tree's sections."""
+    for node in sweep.order:
+        width = node.sections
+        if width is None or width == sections:
+            continue
+        what = (
+            "a constant vector"
+            if node.axis is None
+            else f"factor axis {node.axis.name!r}"
+        )
+        raise ConfigurationError(
+            f"{what} spans {width} sections, but the tree has {sections}"
+        )
 
 
 def iter_sweep(
@@ -132,6 +165,7 @@ def iter_sweep(
         raise ConfigurationError(
             f"chunk_size must be positive, got {chunk_size}"
         )
+    _check_sections(sweep, compiled.size)
     streams = {
         axis: {"rng": axis.start_stream(), "next": 0}
         for axis in sweep.space.sequential_axes
@@ -139,10 +173,7 @@ def iter_sweep(
 
     def fill(view: np.ndarray, lo: int, hi: int) -> None:
         ctx = _ChunkContext(sweep.space, lo, hi, streams)
-        r, l, c = _evaluate_roots(sweep, ctx)
-        view[:, 0, :] = r
-        view[:, 1, :] = l
-        view[:, 2, :] = c
+        _evaluate_roots(sweep, ctx, (view[:, 0, :], view[:, 1, :], view[:, 2, :]))
 
     return runtime.sweep_chunks(
         compiled,

@@ -109,9 +109,17 @@ class Expr(_Interned):
     #: The sweep axis this node reads, if any (checked at compile time
     #: against the scenario space).
     axis: Optional["Axis"] = None
+    #: The per-section length this node's value is tied to, if any
+    #: (checked against the tree before a sweep's first chunk).
+    sections: Optional[int] = None
 
     def _compute(self, ctx, args):
         raise NotImplementedError
+
+    def _compute_into(self, ctx, args, out: np.ndarray) -> None:
+        """Write this node's chunk value into ``out``, a ``(chunk, n)``
+        staging slot, broadcasting as assignment does."""
+        out[...] = self._compute(ctx, args)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -157,6 +165,25 @@ _UNARY_UFUNCS = {
     "sqrt": np.sqrt,
 }
 
+#: Unary ops IEEE-754 rounds exactly, as it does all four binary ones,
+#: so their result bits cannot depend on how an ``out=`` slot's strides
+#: steer numpy's loop selection. ``exp``/``log`` are absent on purpose:
+#: their SIMD and scalar loops may differ in the last ulp, and which one
+#: runs depends on strides.
+_EXACT_UNARY = frozenset(("neg", "sqrt"))
+
+
+def _write(ufunc, args, out: np.ndarray) -> None:
+    """``ufunc(*args)`` written straight into a staging slot.
+
+    The slots are node-major underneath (see
+    :func:`repro.engine.table.iter_analyze_batch`), so Fortran-order
+    iteration streams the writes through contiguous memory; numpy's
+    default order would follow the scenario-major inputs and scatter
+    every write by a whole chunk's stride.
+    """
+    ufunc(*args, out=out, order="F")
+
 
 class _BinOp(Expr):
     def __init__(self, label: str, left: Expr, right: Expr):
@@ -169,6 +196,9 @@ class _BinOp(Expr):
     def _compute(self, ctx, args):
         return _BIN_UFUNCS[self.label](args[0], args[1])
 
+    def _compute_into(self, ctx, args, out):
+        _write(_BIN_UFUNCS[self.label], args, out)
+
 
 class _Unary(Expr):
     def __init__(self, label: str, child: Expr):
@@ -180,6 +210,12 @@ class _Unary(Expr):
 
     def _compute(self, ctx, args):
         return _UNARY_UFUNCS[self.label](args[0])
+
+    def _compute_into(self, ctx, args, out):
+        if self.label in _EXACT_UNARY:
+            _write(_UNARY_UFUNCS[self.label], args, out)
+        else:
+            out[...] = self._compute(ctx, args)
 
 
 class _Clip(Expr):
@@ -194,10 +230,16 @@ class _Clip(Expr):
     def _compute(self, ctx, args):
         return np.clip(args[0], self.lower, self.upper)
 
+    def _compute_into(self, ctx, args, out):
+        _write(np.clip, (args[0], self.lower, self.upper), out)
+
 
 class _Const(Expr):
     def __init__(self, value):
         self.value = value
+        width = np.shape(value)[-1:]
+        if width and width[0] != 1:
+            self.sections = width[0]
 
     def __repr__(self):
         return f"<const #{self._uid}>"
@@ -451,6 +493,12 @@ class _LogNormalFactors(Axis):
         self.sections = sections
         self.size = samples
         self.seed = seed
+        # sigma and the -sigma^2/2 shift tiled along one flattened
+        # (sections x 3) draw row, so the transform runs as two long
+        # contiguous passes instead of broadcasting over a length-3
+        # inner axis.
+        self._scale = np.tile(sigmas, sections)
+        self._shift = np.tile(-0.5 * sigmas * sigmas, sections)
 
     def take(self, indices):
         raise ConfigurationError(
@@ -462,9 +510,17 @@ class _LogNormalFactors(Axis):
         return np.random.default_rng(self.seed)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        sig = self.sigmas
+        # exp(-sigma^2/2 + sigma * z), transformed in place. Bitwise the
+        # out-of-place expression: IEEE multiply and add are
+        # commutative, so z * sigma + shift rounds exactly like
+        # shift + sigma * z, and exp runs over the same contiguous
+        # block either way.
         z = rng.standard_normal((count, self.sections, 3))
-        return np.exp(-0.5 * sig * sig + sig * z).transpose(0, 2, 1)
+        rows = z.reshape(count, -1)
+        rows *= self._scale
+        rows += self._shift
+        np.exp(z, out=z)
+        return z.transpose(0, 2, 1)
 
     @property
     def factors(self) -> Expr:
@@ -498,6 +554,7 @@ class _FactorBlock(Expr):
 
     def __init__(self, axis: _LogNormalFactors):
         self.axis = axis
+        self.sections = axis.sections
 
     def __repr__(self):
         return f"<factors[{self.axis.name}] #{self._uid}>"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import (
+    RLCTree,
     Section,
     balanced_tree,
     fig5_tree,
@@ -58,3 +59,17 @@ def rng():
 def random_rlc(rng):
     """A reproducible random 25-section RLC tree."""
     return random_tree(25, rng)
+
+
+def star_tree(fan_out: int) -> RLCTree:
+    """``in -> hub`` with ``fan_out`` leaves under the hub.
+
+    The hub's children are one reduceat segment of ``fan_out`` nodes, so
+    fan-outs either side of numpy's 8-wide and 128-wide pairwise-sum
+    blocks pin the batch subtree sums' association.
+    """
+    tree = RLCTree("in")
+    tree.add_section("hub", "in", 20.0, 2e-9, 0.1e-12)
+    for leaf in range(fan_out):
+        tree.add_section(f"l{leaf}", "hub", 5.0, 0.5e-9, 0.02e-12)
+    return tree

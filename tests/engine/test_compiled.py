@@ -111,11 +111,11 @@ class TestSweepsMatchDicts:
     def test_batch_dims_match_per_scenario(self, random_rlc):
         compiled = compile_tree(random_rlc)
         rng = np.random.default_rng(5)
-        weights = rng.uniform(0.5, 1.5, size=(4, compiled.size))
+        weights = rng.uniform(0.5, 1.5, size=(compiled.size, 4))
         stacked = compiled.topology.accumulate(weights)
         for s in range(4):
-            single = compiled.topology.accumulate(weights[s])
-            assert np.allclose(stacked[s], single, rtol=1e-15, atol=0.0)
+            single = compiled.topology.accumulate(weights[:, s])
+            assert np.allclose(stacked[:, s], single, rtol=1e-15, atol=0.0)
 
 
 class TestTopologyCache:

@@ -16,8 +16,11 @@ from repro.engine import (
     shutdown_pool,
 )
 from repro.engine import sharded as sharded_mod
+from repro.engine.kernels import METRIC_NAMES
 from repro.engine.sharded import _shard_slices
 from repro.errors import ConfigurationError, DispatchError
+
+from ..conftest import star_tree
 
 WORKERS = 2
 
@@ -158,6 +161,21 @@ class TestAnalyzeBatchSharded:
                 np.testing.assert_array_equal(
                     getattr(sharded, metric), getattr(serial, metric)
                 )
+
+    def test_wide_fan_out_bitwise_identical_to_serial(self):
+        # One 129-child reduceat segment: the shard workers run the same
+        # node-major kernel as the serial engine, pairwise blocks and all.
+        compiled = compile_tree(star_tree(129))
+        block = scenario_block(compiled, 37)
+        serial = analyze_batch(compiled, block)
+        sharded = analyze_batch_sharded(
+            compiled, block, shards=2, workers=WORKERS
+        )
+        for metric in METRIC_NAMES:
+            assert (
+                np.ascontiguousarray(getattr(sharded, metric)).tobytes()
+                == np.ascontiguousarray(getattr(serial, metric)).tobytes()
+            ), metric
 
     def test_serial_fallback_when_one_shard(self, fig5):
         compiled = compile_tree(fig5)

@@ -16,10 +16,13 @@ from repro.engine.table import analyze_batch
 from repro.errors import ConfigurationError
 from repro.runtime import ExecutionContext, RuntimeConfig
 from repro.sweep import (
+    clip,
     compile_sweep,
     const,
+    exp,
     iter_sweep,
     linspace,
+    log,
     lognormal_factors,
     run_sweep,
     scenario_space,
@@ -220,3 +223,116 @@ class TestValidation:
         context = _ChunkContext(space, 4, 8, streams)
         with pytest.raises(ConfigurationError, match="chunk order"):
             context.draw_block(axis)
+
+    def test_wrong_size_factor_axis_fails_before_first_chunk(self, compiled):
+        axis = lognormal_factors(
+            "mc",
+            sigmas=np.full(3, 0.1),
+            sections=compiled.size - 1,
+            samples=S,
+            seed=1,
+        )
+        sweep = compile_sweep(
+            scenario_space(axis),
+            resistance=axis.resistance * const(compiled.resistance),
+            inductance=axis.inductance * const(compiled.inductance),
+            capacitance=axis.capacitance * const(compiled.capacitance),
+        )
+        with ExecutionContext() as context:
+            with pytest.raises(
+                ConfigurationError, match="factor axis 'mc' spans 6 sections"
+            ):
+                iter_sweep(sweep, compiled, context=context)
+
+    def test_wrong_length_constant_fails_before_first_chunk(self, compiled):
+        axis = linspace("scale", 0.5, 2.0, S)
+        sweep = compile_sweep(
+            scenario_space(axis),
+            resistance=axis.values * const(compiled.resistance[:-1]),
+            inductance=const(compiled.inductance),
+            capacitance=axis.values * const(compiled.capacitance),
+        )
+        with ExecutionContext() as context:
+            with pytest.raises(
+                ConfigurationError, match="constant vector spans 6 sections"
+            ):
+                iter_sweep(sweep, compiled, context=context)
+
+
+def _stage(r, l, c, compiled):
+    rlc = np.empty((S, 3, compiled.size))
+    rlc[:, 0, :] = r
+    rlc[:, 1, :] = l
+    rlc[:, 2, :] = c
+    return rlc
+
+
+class TestStagedRoots:
+    """Every kind of root expression lands in its staging slot bitwise
+    as the same numpy arithmetic staged eagerly."""
+
+    @pytest.fixture(params=[True, False], ids=["cse", "no-cse"])
+    def cse(self, request):
+        return request.param
+
+    def check(self, sweep, compiled, rlc):
+        eager = analyze_batch(compiled, rlc)
+        with ExecutionContext() as context:
+            for lo, batch in iter_sweep(
+                sweep, compiled, chunk_size=40, context=context
+            ):
+                hi = lo + batch.scenarios
+                for metric in ("t_rc", "t_lc", "delay_50", "settling"):
+                    got = np.ascontiguousarray(getattr(batch, metric))
+                    want = np.ascontiguousarray(getattr(eager, metric)[lo:hi])
+                    assert got.tobytes() == want.tobytes(), (lo, metric)
+
+    def test_clip_exp_and_product_roots(self, compiled, cse):
+        axis = linspace("scale", 0.5, 2.0, S)
+        r, l, c = compiled.resistance, compiled.inductance, compiled.capacitance
+        sweep = compile_sweep(
+            scenario_space(axis),
+            resistance=clip(axis.values * const(r), 20.0, 60.0),
+            inductance=exp(log(const(l)) + axis.values * 0.1),
+            capacitance=axis.values / const(1.0 / c),
+            cse=cse,
+        )
+        scale = np.linspace(0.5, 2.0, S)[:, None]
+        rlc = _stage(
+            np.clip(scale * r, 20.0, 60.0),
+            np.exp(np.log(l) + scale * 0.1),
+            scale / (1.0 / c),
+            compiled,
+        )
+        self.check(sweep, compiled, rlc)
+
+    def test_constant_shared_and_negated_roots(self, compiled, cse):
+        axis = linspace("scale", 0.5, 2.0, S)
+        c = compiled.capacitance
+        shared = axis.values * const(c * 1e13)
+        sweep = compile_sweep(
+            scenario_space(axis),
+            resistance=shared,
+            inductance=0.0,
+            capacitance=-(-shared) * 1e-13,
+            cse=cse,
+        )
+        scale = np.linspace(0.5, 2.0, S)[:, None]
+        value = scale * (c * 1e13)
+        rlc = _stage(value, 0.0, -(-value) * 1e-13, compiled)
+        self.check(sweep, compiled, rlc)
+
+    def test_same_root_in_two_slots(self, compiled, cse):
+        axis = linspace("scale", 0.5, 2.0, S)
+        value = axis.values * const(np.sqrt(compiled.resistance))
+        sweep = compile_sweep(
+            scenario_space(axis),
+            resistance=value,
+            inductance=const(compiled.inductance),
+            capacitance=value,
+            cse=cse,
+        )
+        scale = np.linspace(0.5, 2.0, S)[:, None]
+        staged = scale * np.sqrt(compiled.resistance)
+        rlc = _stage(staged, compiled.inductance, staged, compiled)
+        self.check(sweep, compiled, rlc)
