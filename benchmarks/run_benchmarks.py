@@ -427,7 +427,7 @@ def bench_incremental_sizing(num_sections: int, repeats: int = 3) -> dict:
         return optimize_width(problem)
 
     def run_full():
-        return optimize_width(problem, use_incremental=False)
+        return optimize_width(problem, config=RuntimeConfig(backend="compiled"))
 
     run_incremental()  # warm the compiled template + topology cache
     result_full = run_full()

@@ -40,7 +40,6 @@ from ..runtime import (
     RuntimeConfig,
     Workload,
     resolve_context,
-    warn_deprecated_alias,
 )
 
 __all__ = [
@@ -148,7 +147,6 @@ def insert_buffers(
     model: DelayModel = "rlc",
     candidate_nodes: Optional[Sequence[str]] = None,
     driver_resistance: float = 0.0,
-    use_incremental: Optional[bool] = None,
     *,
     config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
@@ -173,19 +171,15 @@ def insert_buffers(
     driver_resistance:
         Source driver resistance; when positive, the driver's own delay
         into the chosen root capacitance is charged against the result.
-    use_incremental:
-        Deprecated alias for forcing the frontier-scoring backend:
-        ``True`` forces the vectorized kernels, ``False`` the
-        per-candidate scalar path. Prefer ``config=RuntimeConfig(
-        backend="scalar")`` for the escape hatch.
 
     By default the runtime planner routes frontier scoring: each node's
     whole Pareto frontier goes through the engine's vectorized kernels
     (:func:`repro.engine.incremental.segment_delays` for the wire walk,
     :meth:`Buffer.driving_delays` for the buffer option) — one array
     call per node instead of one scalar call per candidate. Forcing the
-    scalar backend evaluates the same arithmetic per candidate; the
-    kernels match the scalar path bit for bit either way.
+    scalar backend (``config=RuntimeConfig(backend="scalar")``)
+    evaluates the same arithmetic per candidate; the kernels match the
+    scalar path bit for bit either way.
 
     Returns the candidate with the best required time at the root.
     """
@@ -200,21 +194,11 @@ def insert_buffers(
     if unknown:
         raise ReproError(f"candidate nodes not in tree: {sorted(unknown)}")
 
-    backend = None
-    if use_incremental is not None:
-        warn_deprecated_alias(
-            "insert_buffers",
-            "use_incremental",
-            "config=RuntimeConfig(backend=...)",
-        )
-        backend = "compiled" if use_incremental else "scalar"
     runtime = resolve_context(context, config)
     # The DP streams closed-form point evaluations, one frontier per
     # node; the kernels match the scalar arithmetic bit for bit, so the
     # planner's small-tree scalar routing changes cost, never results.
-    decision = runtime.plan(
-        Workload(kind="point", tree_size=tree.size), backend
-    )
+    decision = runtime.plan(Workload(kind="point", tree_size=tree.size))
     vectorized = decision.backend != "scalar"
 
     frontiers: Dict[str, List[_Candidate]] = {}

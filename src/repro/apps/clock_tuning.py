@@ -40,7 +40,6 @@ from ..runtime import (
     RuntimeConfig,
     Workload,
     resolve_context,
-    warn_deprecated_alias,
 )
 from ..sweep import clip, compile_sweep, const, run_sweep, scenario_space, values_axis
 
@@ -314,7 +313,6 @@ def tune_clock_tree(
     min_width: float = 0.25,
     max_width: float = 4.0,
     tolerance: float = 1e-4,
-    use_incremental: Optional[bool] = None,
     *,
     eager: bool = False,
     config: Optional[RuntimeConfig] = None,
@@ -340,9 +338,6 @@ def tune_clock_tree(
     non-incremental backend
     (``config=RuntimeConfig(backend="compiled")``) falls back to the
     per-proposal :func:`delay_sensitivities` evaluation.
-
-    ``use_incremental`` is a deprecated alias: ``True`` forces the
-    eager probe path, ``False`` forces the per-proposal evaluation.
     """
     if tree.size == 0 or len(tree.leaves()) < 2:
         raise ReproError("tuning needs a tree with at least two sinks")
@@ -351,23 +346,14 @@ def tune_clock_tree(
     if iterations < 1:
         raise ReproError("need at least one iteration")
 
-    if use_incremental is not None:
-        warn_deprecated_alias(
-            "tune_clock_tree",
-            "use_incremental",
-            "config=RuntimeConfig(backend=...)",
-        )
     runtime = resolve_context(context, config)
-    if use_incremental is None:
-        decision = runtime.plan(
-            Workload(kind="edit", tree_size=tree.size, edit_count=iterations)
-        )
-        use_probe = decision.backend == "incremental"
-    else:
-        use_probe = use_incremental
+    decision = runtime.plan(
+        Workload(kind="edit", tree_size=tree.size, edit_count=iterations)
+    )
+    use_probe = decision.backend == "incremental"
 
     skew_before = model_skew(tree, context=runtime)
-    if use_probe and use_incremental is None and not eager:
+    if use_probe and not eager:
         return _tune_lazy(
             tree,
             runtime,

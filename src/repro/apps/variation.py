@@ -30,12 +30,7 @@ from ..circuit.tree import RLCTree
 from ..engine import compile_tree
 from ..errors import ConfigurationError, ElementValueError, ReproError
 from ..robustness.guarded import shielded
-from ..runtime import (
-    ExecutionContext,
-    RuntimeConfig,
-    resolve_context,
-    warn_deprecated_alias,
-)
+from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
 from ..simulation.exact import ExactSimulator
 from ..simulation.measures import delay_50 as measure_delay_50
 from ..sweep import (
@@ -231,7 +226,6 @@ def sample_delays(
     samples: int = 500,
     exact_samples: int = 0,
     seed: int = 0,
-    workers: Optional[int] = None,
     *,
     chunk_size: Optional[int] = None,
     eager: bool = False,
@@ -257,9 +251,6 @@ def sample_delays(
     intermediates) and evaluated as one batch. Same bits, eager memory
     profile.
 
-    ``workers`` is a deprecated alias for
-    ``config=RuntimeConfig(workers=...)``.
-
     ``exact_samples`` of the draws (the first ones, so they share the
     model draws) are additionally simulated exactly — expensive, so keep
     it to tens. ``exact_samples=1`` is rejected: a single exact sample
@@ -278,12 +269,6 @@ def sample_delays(
         raise ReproError("exact_samples cannot exceed samples")
     if node not in tree:
         raise ReproError(f"unknown node {node!r}")
-    if workers is not None:
-        warn_deprecated_alias(
-            "sample_delays", "workers", "config=RuntimeConfig(workers=...)"
-        )
-        if context is None:
-            config = (config or RuntimeConfig()).with_workers(workers)
     chunk = DEFAULT_CHUNK if chunk_size is None else int(chunk_size)
     if chunk < 1:
         raise ConfigurationError(

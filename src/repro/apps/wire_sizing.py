@@ -43,7 +43,6 @@ from ..runtime import (
     RuntimeConfig,
     Workload,
     resolve_context,
-    warn_deprecated_alias,
 )
 from ..sweep import (
     DEFAULT_CHUNK,
@@ -262,7 +261,6 @@ def sweep_widths(
     problem: WireSizingProblem,
     widths: Sequence[float],
     model: DelayModel = "rlc",
-    workers: Optional[int] = None,
     *,
     chunk_size: Optional[int] = None,
     eager: bool = False,
@@ -290,18 +288,9 @@ def sweep_widths(
     ``eager=True`` is the escape hatch onto the materialized path: one
     compiled tree per width, one stacked ``(S, 3, n)`` block, one batch
     dispatch. Same bits, eager memory profile.
-
-    ``workers`` is a deprecated alias for
-    ``config=RuntimeConfig(workers=...)``.
     """
     if model not in ("rc", "rlc"):
         raise ReproError(f"unknown delay model {model!r}; use 'rc' or 'rlc'")
-    if workers is not None:
-        warn_deprecated_alias(
-            "sweep_widths", "workers", "config=RuntimeConfig(workers=...)"
-        )
-        if context is None:
-            config = (config or RuntimeConfig()).with_workers(workers)
     runtime = resolve_context(context, config)
     widths = [float(w) for w in widths]
     if not widths:
@@ -347,7 +336,6 @@ def optimize_width(
     problem: WireSizingProblem,
     model: DelayModel = "rlc",
     tolerance: float = 1e-9,
-    use_incremental: Optional[bool] = None,
     *,
     config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
@@ -369,28 +357,16 @@ def optimize_width(
     RuntimeConfig(backend="compiled")``) probes through
     :meth:`WireSizingProblem.delay` instead; both paths evaluate the
     same kernel arithmetic on the same value vectors.
-
-    ``use_incremental`` is a deprecated alias: ``True`` forces the
-    incremental backend, ``False`` forces the compiled probe path.
     """
     if model not in ("rc", "rlc"):
         raise ReproError(f"unknown delay model {model!r}; use 'rc' or 'rlc'")
-    backend = None
-    if use_incremental is not None:
-        warn_deprecated_alias(
-            "optimize_width",
-            "use_incremental",
-            "config=RuntimeConfig(backend=...)",
-        )
-        backend = "incremental" if use_incremental else "compiled"
     runtime = resolve_context(context, config)
     decision = runtime.plan(
         Workload(
             kind="edit",
             tree_size=problem.num_sections + 2,
             edit_count=problem.num_sections,
-        ),
-        backend,
+        )
     )
     evaluations = 0
 

@@ -66,13 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "timed out before degrading to serial in-process evaluation "
         "(default: 2)",
     )
-    parser.add_argument(
-        "--array-backend", default=None, metavar="NAME",
-        help="array backend for the compiled kernels: numpy, cupy, mlx "
-        "or auto (best available, preferring accelerators); "
-        "unavailable backends fail with a clear error "
-        "(default: the process-wide active backend, normally numpy)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     analyze = commands.add_parser(
@@ -626,8 +619,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.max_retries is not None:
         overrides["max_retries"] = args.max_retries
-    if args.array_backend is not None:
-        overrides["array_backend"] = args.array_backend
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if getattr(args, "calibration", None):

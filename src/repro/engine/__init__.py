@@ -41,30 +41,12 @@ pins it against both the dict-based sweeps and the O(n^2) path-tracing
 oracle to 1e-12 relative. See ``docs/PERFORMANCE.md`` for the
 architecture and measured speedups (``BENCH_engine.json``).
 
-Two pluggable seams sit under the kernels:
-
-* :mod:`~repro.engine.backend` — the duck-typed array-ops layer every
-  kernel routes through. The NumPy backend *is* the historical code
-  path (bitwise identical); CuPy and MLX backends are auto-detected
-  when installed and selectable via
-  ``RuntimeConfig(array_backend=...)`` / CLI ``--array-backend``, with
-  graceful CPU fallback when unavailable;
-* persistent shared-memory *arenas* in :mod:`~repro.engine.dispatch` —
-  parent-owned, grow-only segments reused across sharded calls, through
-  which both input values and metric outputs travel without pickling.
+All array math is plain NumPy. Sharded calls move input values and
+metric outputs through persistent shared-memory *arenas* in
+:mod:`~repro.engine.dispatch`: parent-owned, grow-only segments reused
+across calls, so nothing large is pickled.
 """
 
-from .backend import (
-    ARRAY_BACKEND_NAMES,
-    ArrayBackend,
-    active_array_backend,
-    available_array_backends,
-    detect_array_backend,
-    get_array_backend,
-    register_array_backend,
-    set_array_backend,
-    use_array_backend,
-)
 from .compiled import (
     CompiledTopology,
     CompiledTree,
@@ -129,15 +111,6 @@ def cache_info():
     }
 
 __all__ = [
-    "ARRAY_BACKEND_NAMES",
-    "ArrayBackend",
-    "active_array_backend",
-    "available_array_backends",
-    "detect_array_backend",
-    "get_array_backend",
-    "register_array_backend",
-    "set_array_backend",
-    "use_array_backend",
     "CompiledTopology",
     "CompiledTree",
     "compile_tree",

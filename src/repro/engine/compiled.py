@@ -49,7 +49,6 @@ import numpy as np
 
 from ..circuit.tree import RLCTree
 from ..errors import ReductionError, TopologyError
-from .backend import active_array_backend, get_array_backend
 
 __all__ = [
     "CompiledTopology",
@@ -62,37 +61,6 @@ __all__ = [
     "lookup_topology",
     "topology_cache_info",
 ]
-
-
-#: The host backend the level sweeps fall back to when the active
-#: backend's namespace cannot scatter in place (see ``_sweep_ops``).
-_HOST = get_array_backend("numpy")
-
-
-def _sweep_ops(ops):
-    """The backend a topology sweep's level loop runs on.
-
-    The sweeps are gather/scatter bound (``out[..., idx] = ...`` per
-    level), so they need a namespace with NumPy-style in-place fancy
-    indexing. The active backend qualifies when it declares
-    ``supports_scatter`` (NumPy itself, CuPy); otherwise the loop runs
-    on host NumPy and only the result crosses to the device — the
-    elementwise metric kernel downstream is where an accelerator earns
-    its keep anyway.
-    """
-    return ops if ops.supports_scatter else _HOST
-
-
-def _ingest(ops, sweep, array):
-    """Bring ``array`` into the sweep backend's array type."""
-    if sweep is ops:
-        return ops.asarray(array)
-    return sweep.asarray(ops.to_numpy(array))
-
-
-def _emit(ops, sweep, array):
-    """Return a sweep result in the *active* backend's array type."""
-    return array if sweep is ops else ops.asarray(array)
 
 
 def topology_fingerprint(tree: RLCTree) -> Tuple:
@@ -233,22 +201,15 @@ class CompiledTopology:
         plus its whole subtree's. One segment-sum per level, deepest
         first — additions only, exactly the Appendix's postorder pass.
         """
-        ops = active_array_backend()
-        sweep = _sweep_ops(ops)
-        xp = sweep.xp
+        weights = np.asarray(weights, dtype=float)
         if self.is_chain:
             # Reverse running sum. Bitwise identical to the level loop:
             # both form acc[k] = w[k] (+) acc[k+1] one partial sum at a
             # time, and IEEE addition is commutative, so the operand
             # order difference (accumulator left vs right) cannot change
             # a single bit.
-            w = _ingest(ops, sweep, weights)
-            return _emit(
-                ops,
-                sweep,
-                xp.ascontiguousarray(xp.cumsum(w[::-1], axis=0)[::-1]),
-            )
-        acc = xp.array(_ingest(ops, sweep, weights), copy=True, order="C")
+            return np.ascontiguousarray(np.cumsum(weights[::-1], axis=0)[::-1])
+        acc = np.array(weights, copy=True, order="C")
         for group in self.levels[:0:-1]:  # deepest level down to level 2
             # Sibling segments tile the level (starts[0] == 0, ends
             # chain to nodes.size), so reduceat sums each parent's
@@ -257,10 +218,10 @@ class CompiledTopology:
             # the *level* total — catastrophic for a tiny subtree next
             # to large siblings. Per scenario, reduceat along the node
             # axis associates exactly like the 1-D reduceat.
-            acc[group.parents] += sweep.add_reduceat(
+            acc[group.parents] += np.add.reduceat(
                 acc[group.nodes], group.starts, axis=0
             )
-        return _emit(ops, sweep, acc)
+        return acc
 
     def descend(self, contrib: np.ndarray) -> np.ndarray:
         """Root-to-node prefix sums of ``contrib`` (``Cal_Summations``).
@@ -269,20 +230,17 @@ class CompiledTopology:
         contributing zero; one row gather + add per level, shallow
         first. ``contrib`` is node-major, shape ``(n, ...)``.
         """
-        ops = active_array_backend()
-        sweep = _sweep_ops(ops)
-        xp = sweep.xp
-        contrib = _ingest(ops, sweep, contrib)
+        contrib = np.asarray(contrib, dtype=float)
         if self.is_chain:
             # Plain running sum — the level loop's exact association
             # (accumulator + contrib, one element per step).
-            return _emit(ops, sweep, xp.cumsum(contrib, axis=0))
+            return np.cumsum(contrib, axis=0)
         n = self.size
-        out = xp.zeros((n + 1,) + contrib.shape[1:])
+        out = np.zeros((n + 1,) + contrib.shape[1:])
         for group in self.levels:
             idx = group.nodes
             out[idx] = out[self.parent[idx]] + contrib[idx]
-        return _emit(ops, sweep, out[:n])
+        return out[:n]
 
     def descend2(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Prefix sums of two addends with the dict sweep's association.
@@ -292,17 +250,14 @@ class CompiledTopology:
         :func:`repro.analysis.moments.weighted_path_sums`. Both addends
         are node-major, shape ``(n, ...)``.
         """
-        ops = active_array_backend()
-        sweep = _sweep_ops(ops)
-        xp = sweep.xp
-        first = _ingest(ops, sweep, first)
-        second = _ingest(ops, sweep, second)
+        first = np.asarray(first, dtype=float)
+        second = np.asarray(second, dtype=float)
         n = self.size
-        out = xp.zeros((n + 1,) + first.shape[1:])
+        out = np.zeros((n + 1,) + first.shape[1:])
         for group in self.levels:
             idx = group.nodes
             out[idx] = (out[self.parent[idx]] + first[idx]) + second[idx]
-        return _emit(ops, sweep, out[:n])
+        return out[:n]
 
     def second_order_sums(
         self, resistance: np.ndarray, inductance: np.ndarray, capacitance: np.ndarray
@@ -310,12 +265,9 @@ class CompiledTopology:
         """``(T_RC, T_LC)`` at every node (eqs. 26-27) for node-major
         value arrays of shape ``(n, ...)``: one tree's vectors or an
         ``(n, S)`` scenario block, through the same two passes."""
-        # Values cross into the active backend before mixing with the
-        # (possibly device-resident) load sums; identity for NumPy.
-        ops = active_array_backend()
         loads = self.accumulate(capacitance)
-        t_rc = self.descend(ops.asarray(resistance) * loads)
-        t_lc = self.descend(ops.asarray(inductance) * loads)
+        t_rc = self.descend(np.asarray(resistance, dtype=float) * loads)
+        t_lc = self.descend(np.asarray(inductance, dtype=float) * loads)
         return t_rc, t_lc
 
     # -- structural queries ------------------------------------------------
@@ -492,12 +444,11 @@ class CompiledTree:
         subtree totals of both weight sets, then one downward pass with
         two multiplications per section.
         """
-        ops = active_array_backend()
         sub_r = self.topology.accumulate(resistance_weights)
         sub_l = self.topology.accumulate(inductance_weights)
         return self.topology.descend2(
-            ops.asarray(self.resistance) * sub_r,
-            ops.asarray(self.inductance) * sub_l,
+            np.asarray(self.resistance, dtype=float) * sub_r,
+            np.asarray(self.inductance, dtype=float) * sub_l,
         )
 
     def exact_moments(self, order: int) -> np.ndarray:
@@ -506,19 +457,14 @@ class CompiledTree:
         :func:`repro.analysis.moments.exact_moments`."""
         if order < 0:
             raise ReductionError("moment order must be non-negative")
-        ops = active_array_backend()
         n = self.size
         rows = [np.ones(n)]
         previous = rows[0]
         before_previous = np.zeros(n)
         for _ in range(order):
-            # Recurrence state is kept on host (identity for NumPy): the
-            # moments contract is a stacked host array either way.
-            current = -ops.to_numpy(
-                self.weighted_path_sums(
-                    self.capacitance * previous,
-                    self.capacitance * before_previous,
-                )
+            current = -self.weighted_path_sums(
+                self.capacitance * previous,
+                self.capacitance * before_previous,
             )
             rows.append(current)
             before_previous, previous = previous, current

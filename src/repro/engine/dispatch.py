@@ -1,4 +1,4 @@
-"""Work units, shared-memory blocks and the supervised worker pool.
+"""Work units, shared-memory arenas and the supervised worker pool.
 
 This is the transport half of the sharded dispatch protocol
 (:mod:`repro.engine.sharded` is the policy half). The protocol is
@@ -12,12 +12,13 @@ This is the transport half of the sharded dispatch protocol
   payloads — the first unit for a topology unpickles it, every later
   unit is a cache hit, and :func:`worker_cache_infos` reads the
   hit/miss counters back out of every worker for aggregation;
-* scenario value matrices for sharded batches travel through one
-  ``multiprocessing.shared_memory`` segment (:class:`SharedBlock`)
-  rather than being pickled per shard — each worker attaches the
-  segment and reads only its ``[start:stop]`` scenario rows. When
-  shared memory is unavailable the units simply carry their slice
-  inline; the protocol degrades, the results do not change.
+* scenario value matrices for sharded batches, and the metric rows
+  workers compute from them, travel through persistent
+  ``multiprocessing.shared_memory`` arenas (:class:`Arena`) rather
+  than being pickled per shard — each worker attaches by segment name
+  and touches only its ``[start:stop]`` scenario rows. When shared
+  memory is unavailable the units simply carry their slice inline; the
+  protocol degrades, the results do not change.
 
 Worker task functions never raise: every unit evaluates to
 ``(index, "ok", metric payload)`` or ``(index, "err", failure
@@ -36,8 +37,8 @@ across the process boundary:
 * a worker that **crashes** (``BrokenProcessPool``) or **hangs** (shard
   timeout) triggers an automatic pool rebuild — hung workers are
   killed, fresh ones respawn, per-worker topology caches re-seed from
-  the shipped payloads, and parent-owned shared-memory blocks survive
-  untouched because workers re-attach by name on every task;
+  the shipped payloads, and parent-owned arena segments survive
+  untouched because workers re-attach by name;
 * failed shards are re-dispatched with bounded exponential backoff, and
   a shard that exhausts its retries degrades to a **serial in-process
   evaluation** of the same unit code path, so the assembled result is
@@ -63,7 +64,6 @@ import pickle
 import threading
 import time
 import traceback
-import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, replace
@@ -94,8 +94,6 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 __all__ = [
-    "BlockRef",
-    "SharedBlock",
     "Arena",
     "ArenaRef",
     "ArenaView",
@@ -189,7 +187,7 @@ class SupervisionPolicy:
             raise ConfigurationError(
                 f"max_retries must be non-negative, got {self.max_retries!r}"
             )
-        if self.backoff < 0:
+        if not self.backoff >= 0:  # NaN fails too
             raise ConfigurationError(
                 f"backoff must be non-negative, got {self.backoff!r}"
             )
@@ -259,7 +257,7 @@ def reset_dispatch_telemetry() -> None:
         _telemetry = _fresh_telemetry()
 
 
-# -- shared-memory value blocks --------------------------------------------
+# -- shared-memory segments ------------------------------------------------
 
 
 def shared_memory_available() -> bool:
@@ -267,66 +265,8 @@ def shared_memory_available() -> bool:
     return _shared_memory is not None
 
 
-@dataclass(frozen=True)
-class BlockRef:
-    """Descriptor of a float64 array living in a shared-memory segment."""
-
-    name: str
-    shape: Tuple[int, ...]
-
-
-#: Every SharedBlock whose segment is still linked. The atexit hook
-#: drains it so an interpreter shutting down mid-dispatch (a crashed
-#: caller, a KeyboardInterrupt between create and close) never leaks a
-#: /dev/shm segment. WeakSet: a block the GC already collected was
-#: either closed or will be reclaimed by the resource tracker.
-_live_blocks: "weakref.WeakSet[SharedBlock]" = weakref.WeakSet()
-
-
-class SharedBlock:
-    """Parent-side owner of one shared-memory float64 array.
-
-    Copies ``array`` into a fresh segment on construction; :attr:`ref`
-    is the picklable descriptor shipped to workers. The parent must call
-    :meth:`close` (which also unlinks) once every consumer is done —
-    most simply by using the block as a context manager. Blocks left
-    open are unlinked by the interpreter-exit hook as a last resort.
-
-    The segment's lifetime is tied to this object, never to the pool:
-    workers attach by name on every task, so a pool rebuild in the
-    middle of a supervised dispatch does not invalidate the block — the
-    fresh workers simply re-attach.
-    """
-
-    def __init__(self, array: np.ndarray):
-        if _shared_memory is None:  # pragma: no cover - gated by caller
-            raise ReproError("shared memory is unavailable on this platform")
-        array = np.ascontiguousarray(array, dtype=float)
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=max(1, array.nbytes)
-        )
-        np.ndarray(array.shape, dtype=float, buffer=self._shm.buf)[...] = array
-        self.ref = BlockRef(name=self._shm.name, shape=array.shape)
-        _live_blocks.add(self)
-
-    def __enter__(self) -> "SharedBlock":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent)."""
-        _live_blocks.discard(self)
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double close
-            pass
-
-
-def _attach_block(ref: BlockRef):
-    """Attach to a shared block in a worker; returns ``(segment, view)``.
+def _attach_segment(name: str):
+    """Attach to a named segment without a resource-tracker claim.
 
     On this Python, ``SharedMemory(name=...)`` registers the segment
     with the resource tracker even when merely *attaching* (there is no
@@ -339,13 +279,6 @@ def _attach_block(ref: BlockRef):
     Pool workers run one task at a time, so the brief module-level patch
     cannot race another attach in the same process.
     """
-    segment = _attach_segment(ref.name)
-    view = np.ndarray(ref.shape, dtype=float, buffer=segment.buf)
-    return segment, view
-
-
-def _attach_segment(name: str):
-    """Attach to a named segment without a resource-tracker claim."""
     from multiprocessing import resource_tracker
 
     original_register = resource_tracker.register
@@ -358,12 +291,12 @@ def _attach_segment(name: str):
 
 # -- persistent shared-memory arenas ----------------------------------------
 #
-# A SharedBlock pays segment create + copy + unlink on *every* dispatch
-# call — measurable overhead exactly where the sharded path is supposed
-# to win. An Arena is the amortized alternative: one parent-owned
-# segment per purpose ("batch", "many"), reused across calls, grown
-# geometrically when a call needs more room and released only at
-# context close / interpreter exit. Work units carry ArenaView
+# A segment per dispatch call would pay create + copy + unlink every
+# time — measurable overhead exactly where the sharded path is supposed
+# to win. An Arena amortizes it: one parent-owned segment per purpose
+# ("batch", "many"), reused across calls, grown geometrically when a
+# call needs more room and released only at context close /
+# interpreter exit. Work units carry ArenaView
 # descriptors (segment name + byte offset + shape) instead of arrays,
 # so steady-state dispatch ships a few hundred descriptor bytes while
 # values *and* results travel through shared memory — zero-copy both
@@ -644,13 +577,13 @@ class TreeUnit:
 class BatchShard:
     """One contiguous scenario range of a sharded batch.
 
-    ``block`` is an :class:`ArenaView` or :class:`BlockRef` into the
-    full ``(S, 3, n)`` shared value block (the worker reads rows
-    ``start:stop``), or the shard's own ``(stop - start, 3, n)`` slice
-    shipped inline when shared memory is unavailable or the dispatch
-    runs serially. With ``out`` set the worker writes each computed
-    metric into its ``[:, start:stop, :]`` slice of that
-    ``(len(out_fields), S, n)`` arena region — sibling shards write
+    ``block`` is an :class:`ArenaView` into the full ``(S, 3, n)``
+    shared value block (the worker reads rows ``start:stop``), or the
+    shard's own ``(stop - start, 3, n)`` slice shipped inline when
+    shared memory is unavailable or the dispatch runs serially. With
+    ``out`` set the worker writes each computed metric into its
+    ``[:, start:stop, :]`` slice of that ``(len(out_fields), S, n)``
+    arena region — sibling shards write
     disjoint slices, so no coordination is needed — and returns only an
     acknowledgement body instead of pickled arrays. ``inject`` names a
     value-level fault to raise instead of evaluating — the hook the
@@ -664,7 +597,7 @@ class BatchShard:
     index: int
     key: Tuple
     payload: bytes = field(repr=False)
-    block: Union[BlockRef, "ArenaView", np.ndarray]
+    block: Union[ArenaView, np.ndarray]
     start: int
     stop: int
     settle_band: float
@@ -774,17 +707,13 @@ def run_tree_unit(unit: TreeUnit) -> Tuple[int, str, Dict[str, Any]]:
 
 def run_batch_shard(shard: BatchShard) -> Tuple[int, str, Dict[str, Any]]:
     """Evaluate one scenario shard; never raises."""
-    segment = None
     start = time.perf_counter()
     try:
         _apply_process_fault(shard.fault, shard.attempt)
         if shard.inject is not None:
             raise ReproError(f"injected shard fault: {shard.inject}")
         topology = _resolve_topology(shard.key, shard.payload)
-        if isinstance(shard.block, BlockRef):
-            segment, block = _attach_block(shard.block)
-            rows = block[shard.start:shard.stop]
-        elif isinstance(shard.block, ArenaView):
+        if isinstance(shard.block, ArenaView):
             rows = _attach_view(shard.block)[shard.start:shard.stop]
         else:
             rows = shard.block
@@ -806,9 +735,6 @@ def run_batch_shard(shard: BatchShard) -> Tuple[int, str, Dict[str, Any]]:
         return shard.index, "err", _describe_failure(
             exc, attempt=shard.attempt, elapsed=time.perf_counter() - start
         )
-    finally:
-        if segment is not None:
-            segment.close()
 
 
 # -- the worker pool ---------------------------------------------------------
@@ -951,7 +877,7 @@ def rebuild_pool(workers: Optional[int] = None) -> Optional[ProcessPoolExecutor]
     The recovery action behind every worker-death or shard-timeout
     incident: hung workers are killed, fresh ones start with clean
     topology caches (re-seeded lazily from the payloads the next units
-    carry), and parent-owned shared-memory blocks stay linked — workers
+    carry), and parent-owned arena segments stay linked — workers
     re-attach by name. Returns the fresh pool, or ``None`` when no pool
     was running and no worker count was given.
     """
@@ -999,21 +925,16 @@ def dispatch_pool(workers: int) -> Iterator[Any]:
 
 
 def _atexit_cleanup() -> None:
-    """Interpreter-exit fallback: close leaked blocks, stop the pool.
+    """Interpreter-exit fallback: release the arenas, stop the pool.
 
-    Blocks are unlinked *before* the pool is terminated so no worker is
+    Arenas are unlinked *before* the pool is terminated so no worker is
     killed mid-read of a segment that then disappears under a
     still-running sibling; by exit time no dispatch call is in flight,
-    so any surviving block is simply a leak to reclaim. Each close is
-    shielded individually and the pool teardown never raises, so a
-    broken pool cannot prevent the remaining segments from being
+    so any surviving segment is simply a leak to reclaim. Each arena
+    close is shielded individually and the pool teardown never raises,
+    so a broken pool cannot prevent the remaining segments from being
     unlinked.
     """
-    for block in list(_live_blocks):
-        try:
-            block.close()
-        except Exception:  # pragma: no cover - last-resort cleanup
-            pass
     release_arenas()
     shutdown_pool()
 
@@ -1202,7 +1123,7 @@ def run_supervised(
             if batch_timed_out or batch_broken:
                 # Dead or hung workers poison the executor: rebuild now
                 # (kills the hung worker, respawns the rest, keeps the
-                # shared blocks linked) so the next slot starts clean.
+                # arena segments linked) so the next slot starts clean.
                 pool = rebuild_pool(workers)
         if not pending:
             break

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..analysis.fitting import DELAY_FIT_COEFFICIENTS, RISE_FIT_COEFFICIENTS
 from ..errors import ConfigurationError, ReductionError
-from .backend import active_array_backend
 
 __all__ = [
     "MetricArrays",
@@ -63,28 +62,23 @@ METRIC_NAMES = (
 OVERSHOOT_THRESHOLD = 1e-4
 
 
-def _scaled_delay(xp, zeta):
-    """Eq. 33 through the array-backend namespace.
-
-    The same expression as :func:`repro.analysis.fitting.scaled_delay`
-    (same coefficients, same association), evaluated with ``xp`` ops so
-    device arrays never cross into host NumPy mid-kernel. With the NumPy
-    backend every operation is the scalar helper's own, so results are
-    bitwise identical — pinned by the backend equivalence suite.
-    """
+def _scaled_delay(zeta):
+    """Eq. 33 over arrays: the same expression as
+    :func:`repro.analysis.fitting.scaled_delay` (same coefficients, same
+    association), evaluated in place."""
     a, b, c = DELAY_FIT_COEFFICIENTS
     # a * exp(-zeta / b) + c * zeta, evaluated in place.
     scaled = -zeta
     scaled /= b
-    scaled = xp.exp(scaled)
+    scaled = np.exp(scaled)
     scaled *= a
     scaled += c * zeta
     return scaled
 
 
-def _scaled_rise(xp, zeta):
-    """Eq. 34 (refit) through the array-backend namespace; the exact
-    expression of :func:`repro.analysis.fitting.scaled_rise`."""
+def _scaled_rise(zeta):
+    """Eq. 34 (refit) over arrays; the exact expression of
+    :func:`repro.analysis.fitting.scaled_rise`."""
     n0, n1, n2, n3, d1, d2 = RISE_FIT_COEFFICIENTS
     numerator = n0 + zeta * (n1 + zeta * (n2 + zeta * n3))
     denominator = 1.0 + zeta * (d1 + zeta * d2)
@@ -160,16 +154,9 @@ def metrics_from_sums(
     silently nonsensical settling times (``>= 1``).
     """
     validate_settle_band(settle_band)
-    # All array math below goes through the active backend's numpy-like
-    # namespace. For the default NumPy backend ``xp is np`` and the
-    # transfer methods are ``np.asarray``, so this is byte-for-byte the
-    # pre-backend kernel; device backends compute on-device and cross
-    # back to host at the return below.
-    ops = active_array_backend()
-    xp = ops.xp
-    t_rc = ops.asarray(t_rc)
-    t_lc = ops.asarray(t_lc)
-    t_rc, t_lc = xp.broadcast_arrays(t_rc, t_lc)
+    t_rc = np.asarray(t_rc, dtype=float)
+    t_lc = np.asarray(t_lc, dtype=float)
+    t_rc, t_lc = np.broadcast_arrays(t_rc, t_lc)
     neg_log_band = -math.log(settle_band)
 
     if select is None:
@@ -186,7 +173,7 @@ def metrics_from_sums(
     need_model = bool(want & {"delay_50", "rise_time", "overshoot", "settling"})
     need_ring = bool(want & {"overshoot", "settling"})
 
-    with ops.errstate():
+    with np.errstate(all="ignore"):
         rc = t_lc == 0.0
 
         # Equivalent model parameters (eqs. 29-30). ``zeta`` reports the
@@ -200,43 +187,43 @@ def metrics_from_sums(
         # ``x *= y`` round identically): on a large batch every live
         # intermediate is a full (n, S) block.
         if need_model or want & {"zeta", "omega_n"}:
-            root_lc = xp.sqrt(t_lc)
+            root_lc = np.sqrt(t_lc)
         if "zeta" in want:
-            out["zeta"] = xp.where(rc, np.inf, 0.5 * t_rc / root_lc)
+            out["zeta"] = np.where(rc, np.inf, 0.5 * t_rc / root_lc)
         if need_model or "omega_n" in want:
             # One reciprocal serves omega_n and zeta_model.
             inv_root_lc = 1.0 / root_lc
             del root_lc
-            omega_n = xp.where(rc, np.inf, inv_root_lc)
+            omega_n = np.where(rc, np.inf, inv_root_lc)
             if "omega_n" in want:
                 out["omega_n"] = omega_n
             if need_model:
                 zeta_model = 0.5 * t_rc
-                zeta_model *= xp.where(rc, np.nan, inv_root_lc)
+                zeta_model *= np.where(rc, np.nan, inv_root_lc)
             del inv_root_lc
 
         # Delay and rise time (eqs. 33-36; RC limit: Elmore/Wyatt).
         if "delay_50" in want:
-            scaled = _scaled_delay(xp, zeta_model)
+            scaled = _scaled_delay(zeta_model)
             scaled /= omega_n
-            out["delay_50"] = xp.where(rc, _LN2 * t_rc, scaled)
+            out["delay_50"] = np.where(rc, _LN2 * t_rc, scaled)
             del scaled
         if "rise_time" in want:
-            scaled = _scaled_rise(xp, zeta_model)
+            scaled = _scaled_rise(zeta_model)
             scaled /= omega_n
-            out["rise_time"] = xp.where(rc, _LN9 * t_rc, scaled)
+            out["rise_time"] = np.where(rc, _LN9 * t_rc, scaled)
             del scaled
 
         if need_ring:
             # Only underdamped lanes ring (NaN compares False at RC).
             underdamped = zeta_model < 1.0
-            radical = xp.sqrt(1.0 - zeta_model * zeta_model)
+            radical = np.sqrt(1.0 - zeta_model * zeta_model)
 
         # Overshoot (eq. 39, first extremum, thresholded like
         # overshoot_train).
         if "overshoot" in want:
-            fraction = xp.exp(-math.pi * zeta_model / radical)
-            out["overshoot"] = xp.where(
+            fraction = np.exp(-math.pi * zeta_model / radical)
+            out["overshoot"] = np.where(
                 underdamped & (fraction >= overshoot_threshold), fraction, 0.0
             )
 
@@ -244,22 +231,20 @@ def metrics_from_sums(
         # monotone lanes; RC limit: single-pole band entry).
         if "settling" in want:
             per_cycle = math.pi * zeta_model / radical
-            cycles = xp.maximum(xp.ceil(neg_log_band / per_cycle), 1.0)
+            cycles = np.maximum(np.ceil(neg_log_band / per_cycle), 1.0)
             settle_ringing = cycles * math.pi / (omega_n * radical)
             slow = 1.0 / (
                 zeta_model
-                * (1.0 + xp.sqrt(1.0 - 1.0 / (zeta_model * zeta_model)))
+                * (1.0 + np.sqrt(1.0 - 1.0 / (zeta_model * zeta_model)))
             )
             settle_monotone = neg_log_band / (omega_n * slow)
-            out["settling"] = xp.where(
+            out["settling"] = np.where(
                 rc,
                 neg_log_band * t_rc,
-                xp.where(underdamped, settle_ringing, settle_monotone),
+                np.where(underdamped, settle_ringing, settle_monotone),
             )
 
-    # Results cross the host boundary here: MetricArrays always carries
-    # NumPy, whatever backend computed it (identity for NumPy).
-    return MetricArrays(**{name: ops.to_numpy(v) for name, v in out.items()})
+    return MetricArrays(**out)
 
 
 def fast_path_eligible(t_rc: np.ndarray, t_lc: np.ndarray) -> bool:

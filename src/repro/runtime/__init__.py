@@ -18,9 +18,8 @@ one system:
   :class:`Session`, the one front door apps, the CLI and the guarded
   pipeline dispatch through (and the context manager that guarantees
   pool/shared-memory teardown on exceptions);
-* :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, replacing the
-  scattered ``use_engine=``/``use_incremental=``/``workers=`` flags
-  (kept as deprecated aliases);
+* :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the one set of
+  routing and supervision knobs every entry point takes as ``config=``;
 * :mod:`~repro.runtime.calibrate` — the measured serial/sharded
   crossover: microbenchmark both paths, fit linear cost models, route
   batches by the fitted break-even point (persisted in
@@ -59,12 +58,7 @@ from .calibrate import (
     save_calibration,
 )
 from .breaker import BreakerBoard, CircuitBreaker
-from .config import (
-    BACKEND_NAMES,
-    RuntimeConfig,
-    reset_deprecation_warnings,
-    warn_deprecated_alias,
-)
+from .config import BACKEND_NAMES, RuntimeConfig
 from .context import (
     ExecutionContext,
     Session,
@@ -107,8 +101,6 @@ __all__ = [
     "reset_calibration_warnings",
     "reset_default_context",
     "reset_degradation_warnings",
-    "reset_deprecation_warnings",
     "resolve_context",
     "set_default_context",
-    "warn_deprecated_alias",
 ]

@@ -58,7 +58,7 @@ class CircuitBreaker:
             raise ConfigurationError(
                 f"breaker threshold must be >= 1, got {threshold!r}"
             )
-        if cooldown < 0:
+        if not cooldown >= 0:  # NaN fails too
             raise ConfigurationError(
                 f"breaker cooldown must be non-negative, got {cooldown!r}"
             )

@@ -1,62 +1,24 @@
-"""Runtime configuration and the deprecated-alias funnel.
+"""Runtime configuration.
 
-One frozen :class:`RuntimeConfig` replaces the ``use_engine=`` /
-``use_incremental=`` / ``workers=`` / ``closed_form_backend=`` flags
-that four generations of PRs threaded separately through every app, the
-CLI and the guarded pipeline. Apps keep their old keyword arguments as
-thin aliases that fold into a config and warn (once per call site) via
-:func:`warn_deprecated_alias`.
+One frozen :class:`RuntimeConfig` carries every routing and
+supervision knob that apps, the CLI and the guarded pipeline once took
+as separate per-engine keyword flags. Apps take it as ``config=``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Set, Tuple
+from typing import Any, Optional, Tuple
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "BACKEND_NAMES",
     "RuntimeConfig",
-    "warn_deprecated_alias",
-    "reset_deprecation_warnings",
 ]
 
 #: The registered backend names, in fallback-documentation order.
 BACKEND_NAMES: Tuple[str, ...] = ("scalar", "compiled", "incremental", "sharded")
-
-#: Common prefix of every alias warning; the targeted pytest
-#: ``filterwarnings`` entry in pyproject.toml matches on it.
-_ALIAS_PREFIX = "repro.runtime alias"
-
-#: (function, kwarg) pairs that already warned this process.
-_warned: Set[Tuple[str, str]] = set()
-
-
-def warn_deprecated_alias(func: str, kwarg: str, replacement: str) -> None:
-    """Emit the deprecation warning for one legacy kwarg, exactly once.
-
-    Subsequent calls for the same ``(func, kwarg)`` pair are silent, so
-    optimization loops that pass the old flag thousands of times pay for
-    one warning. :func:`reset_deprecation_warnings` re-arms the set (for
-    tests).
-    """
-    key = (func, kwarg)
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(
-        f"{_ALIAS_PREFIX}: {func}({kwarg}=...) is deprecated; "
-        f"pass {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which aliases already warned (test isolation)."""
-    _warned.clear()
 
 
 @dataclass(frozen=True)
@@ -107,16 +69,6 @@ class RuntimeConfig:
     breaker_cooldown:
         Seconds a tripped breaker stays open before admitting a
         half-open probe request.
-    array_backend:
-        Array-ops backend for the compiled kernels: ``"numpy"``,
-        ``"cupy"``, ``"mlx"``, any name registered via
-        :func:`~repro.engine.backend.register_array_backend`, or
-        ``"auto"`` (best available, preferring accelerators). ``None``
-        keeps the process-wide active backend (NumPy unless something
-        changed it). Resolution — and the unusable-backend error — is
-        deferred to :class:`~repro.runtime.context.ExecutionContext`
-        construction, so configs can name backends registered later.
-        The CLI flag ``--array-backend`` maps here.
     calibration:
         A measured serial/sharded crossover model (duck-typed like
         :class:`~repro.runtime.calibrate.CrossoverCalibration`: needs
@@ -137,7 +89,6 @@ class RuntimeConfig:
     retry_backoff: float = 0.05
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
-    array_backend: Optional[str] = None
     calibration: Optional[Any] = None
 
     def __post_init__(self):
@@ -159,7 +110,8 @@ class RuntimeConfig:
                 f"flush_threshold must be in [0, 1], got "
                 f"{self.flush_threshold!r}"
             )
-        if self.point_scalar_max < 0 or self.sharded_min_cells < 0:
+        # ``not x >= 0`` rather than ``x < 0`` so NaN fails too.
+        if not (self.point_scalar_max >= 0 and self.sharded_min_cells >= 0):
             raise ConfigurationError(
                 "point_scalar_max and sharded_min_cells must be "
                 "non-negative"
@@ -173,7 +125,7 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"max_retries must be non-negative, got {self.max_retries!r}"
             )
-        if self.retry_backoff < 0:
+        if not self.retry_backoff >= 0:
             raise ConfigurationError(
                 f"retry_backoff must be non-negative, got "
                 f"{self.retry_backoff!r}"
@@ -183,17 +135,10 @@ class RuntimeConfig:
                 f"breaker_threshold must be >= 1, got "
                 f"{self.breaker_threshold!r}"
             )
-        if self.breaker_cooldown < 0:
+        if not self.breaker_cooldown >= 0:
             raise ConfigurationError(
                 f"breaker_cooldown must be non-negative, got "
                 f"{self.breaker_cooldown!r}"
-            )
-        if self.array_backend is not None and not isinstance(
-            self.array_backend, str
-        ):
-            raise ConfigurationError(
-                f"array_backend must be a backend name string or None, "
-                f"got {self.array_backend!r}"
             )
         if self.calibration is not None and not hasattr(
             self.calibration, "sharded_wins"

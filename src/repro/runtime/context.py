@@ -190,16 +190,6 @@ class ExecutionContext:
             threshold=self._config.breaker_threshold,
             cooldown=self._config.breaker_cooldown,
         )
-        # Resolve the array backend once, up front: an unusable name
-        # (unknown, or import/probe failure) errors at construction,
-        # not mid-dispatch. None keeps the process-wide active backend.
-        self._array_backend = None
-        if self._config.array_backend is not None:
-            from ..engine.backend import get_array_backend
-
-            self._array_backend = get_array_backend(
-                self._config.array_backend
-            )
         self._closed = False
 
     # -- policy ------------------------------------------------------------
@@ -243,11 +233,6 @@ class ExecutionContext:
     def _dispatch(self, decision: ExecutionPlan, call: Callable):
         """Run one backend call and keep its circuit breaker informed.
 
-        Every call runs with this context's array backend active (a
-        no-op when the config names none), so kernel work the backends
-        trigger — including inside pool workers' serial fallbacks —
-        uses the configured device.
-
         For the sharded backend the dispatch-layer telemetry delta is
         the health signal: a pool rebuild during the call trips the
         breaker immediately (a worker died — the next calls should not
@@ -257,13 +242,10 @@ class ExecutionContext:
         failed outright — always counts as a failure, whatever the
         backend.
         """
-        from ..engine.backend import use_array_backend
-
         breaker = self._breakers.breaker(decision.backend)
         if decision.backend != "sharded":
             try:
-                with use_array_backend(self._array_backend):
-                    return call()
+                return call()
             except DispatchError as exc:
                 breaker.record_failure(str(exc))
                 raise
@@ -271,8 +253,7 @@ class ExecutionContext:
 
         before = dispatch_telemetry()
         try:
-            with use_array_backend(self._array_backend):
-                result = call()
+            result = call()
         except DispatchError as exc:
             breaker.record_failure(str(exc))
             raise
@@ -435,11 +416,6 @@ class ExecutionContext:
 
     # -- calibration -------------------------------------------------------
 
-    @property
-    def array_backend(self):
-        """The resolved array backend, or None (process default)."""
-        return self._array_backend
-
     def calibrate(self, **kwargs):
         """Measure the serial/sharded crossover and adopt it for routing.
 
@@ -508,7 +484,7 @@ class ExecutionContext:
         return self._closed
 
     def close(self) -> None:
-        """Tear down pool workers and release shared-memory blocks.
+        """Tear down pool workers and release the shared-memory arenas.
 
         Idempotent. The dispatch pool is process-global, so closing a
         context also closes the pool for sibling contexts — they will
@@ -519,19 +495,17 @@ class ExecutionContext:
             return
         self._closed = True
         from ..engine import shutdown_pool
-        from ..engine.dispatch import _live_blocks, release_arenas
+        from ..engine.dispatch import release_arenas
 
         shutdown_pool()
-        for block in list(_live_blocks):
-            block.close()
         release_arenas()
 
     def __enter__(self) -> "ExecutionContext":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Teardown runs on exceptions too: the pool/SharedBlock leak
-        # fix for error paths through analyze_many and friends.
+        # Teardown runs on exceptions too, so an error path through
+        # analyze_many and friends cannot leak the pool or the arenas.
         self.close()
 
 

@@ -100,7 +100,7 @@ class RuntimeStats:
         decisions), ``"caches"`` (the engine layer's
         :func:`~repro.engine.cache_info` groups), ``"pool"`` (worker
         pool size and generation, sharded dispatches through this
-        context, live shared-memory blocks process-wide),
+        context),
         ``"supervision"`` (the dispatch layer's process-wide failure
         telemetry: timeouts, retries, rebuilds, worker deaths, serial
         fallbacks, per-worker failure counts), ``"transport"`` (the
@@ -113,7 +113,6 @@ class RuntimeStats:
         """
         from ..engine import cache_info
         from ..engine.dispatch import (
-            _live_blocks,
             arena_info,
             dispatch_telemetry,
             pool_generation,
@@ -131,7 +130,6 @@ class RuntimeStats:
                 "workers": pool_size(),
                 "generation": pool_generation(),
                 "sharded_dispatches": self._pool_dispatches,
-                "live_blocks": len(_live_blocks),
             },
             "supervision": telemetry,
             "transport": {

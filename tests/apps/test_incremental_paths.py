@@ -1,10 +1,11 @@
 """The apps' incremental fast paths against their scalar escape hatches.
 
-Each optimization loop routed through the delta-update engine keeps a
-``use_incremental=False`` escape hatch running the original scalar
-evaluation. The two paths are the same arithmetic on the same values, so
-these tests demand *identical* decisions — same widths, same buffer
-placements, same evaluation counts — not merely close objectives.
+Each optimization loop routed through the delta-update engine keeps an
+escape hatch, a forced ``config=RuntimeConfig(backend=...)``, running
+the original scalar evaluation. The two paths are the same arithmetic
+on the same values, so these tests demand *identical* decisions — same
+widths, same buffer placements, same evaluation counts — not merely
+close objectives.
 """
 
 import numpy as np
@@ -22,6 +23,10 @@ from repro.apps import (
 )
 from repro.circuit import RLCTree, Section, random_tree, single_line
 from repro.engine import compile_tree
+from repro.runtime import RuntimeConfig
+
+COMPILED = RuntimeConfig(backend="compiled")
+SCALAR = RuntimeConfig(backend="scalar")
 
 
 class TestWireSizingIncremental:
@@ -32,7 +37,7 @@ class TestWireSizingIncremental:
     @pytest.mark.parametrize("model", ["rc", "rlc"])
     def test_matches_escape_hatch(self, problem, model):
         fast = optimize_width(problem, model=model)
-        slow = optimize_width(problem, model=model, use_incremental=False)
+        slow = optimize_width(problem, model=model, config=COMPILED)
         assert fast.width == pytest.approx(slow.width, rel=1e-9)
         assert fast.delay == pytest.approx(slow.delay, rel=1e-9)
         assert fast.evaluations == slow.evaluations
@@ -76,9 +81,7 @@ class TestBufferInsertionIncremental:
             12, resistance=120.0, inductance=1e-9, capacitance=0.4e-12
         )
         fast = insert_buffers(line, buffer_cell, model=model)
-        slow = insert_buffers(
-            line, buffer_cell, model=model, use_incremental=False
-        )
+        slow = insert_buffers(line, buffer_cell, model=model, config=SCALAR)
         assert fast.buffer_nodes == slow.buffer_nodes
         assert fast.required_at_root == slow.required_at_root
         assert fast.root_capacitance == slow.root_capacitance
@@ -106,7 +109,7 @@ class TestBufferInsertionIncremental:
                 sink_capacitance=pins,
                 model=model,
                 driver_resistance=30.0,
-                use_incremental=False,
+                config=SCALAR,
             )
             assert fast.buffer_nodes == slow.buffer_nodes, (model, trial)
             assert fast.required_at_root == slow.required_at_root
@@ -120,8 +123,7 @@ class TestClockTuningIncremental:
 
     def test_matches_escape_hatch(self, mismatched):
         fast = tune_clock_tree(mismatched, iterations=8)
-        slow = tune_clock_tree(mismatched, iterations=8,
-                               use_incremental=False)
+        slow = tune_clock_tree(mismatched, iterations=8, config=COMPILED)
         assert set(fast.widths) == set(slow.widths)
         for name in fast.widths:
             assert fast.widths[name] == pytest.approx(

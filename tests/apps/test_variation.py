@@ -14,6 +14,7 @@ from repro.apps import (
 )
 from repro.circuit import fig5_tree, scale_tree_to_zeta
 from repro.errors import ConfigurationError, ReproError
+from repro.runtime import RuntimeConfig
 
 
 @pytest.fixture(scope="module")
@@ -166,14 +167,16 @@ class TestDegenerateSampleCounts:
 
 
 class TestShardedSampling:
-    """workers= routes through the dispatch pool with bitwise-equal draws."""
+    """A worker budget routes through the dispatch pool with bitwise-equal
+    draws."""
 
     def test_workers_bitwise_identical(self, tree):
         serial = sample_delays(
             tree, "n7", VariationModel(), samples=40, seed=11
         )
         sharded = sample_delays(
-            tree, "n7", VariationModel(), samples=40, seed=11, workers=2
+            tree, "n7", VariationModel(), samples=40, seed=11,
+            config=RuntimeConfig(workers=2),
         )
         np.testing.assert_array_equal(serial.rlc.values, sharded.rlc.values)
         np.testing.assert_array_equal(serial.rc.values, sharded.rc.values)
@@ -183,7 +186,8 @@ class TestShardedSampling:
             tree, "n7", VariationModel(), samples=20, seed=4
         )
         explicit = sample_delays(
-            tree, "n7", VariationModel(), samples=20, seed=4, workers=1
+            tree, "n7", VariationModel(), samples=20, seed=4,
+            config=RuntimeConfig(workers=1),
         )
         np.testing.assert_array_equal(serial.rlc.values, explicit.rlc.values)
 
@@ -195,7 +199,7 @@ class TestShardedSampling:
         )
         sharded = sample_delays(
             tree, "n7", VariationModel(), samples=12, exact_samples=3,
-            seed=8, workers=2,
+            seed=8, config=RuntimeConfig(workers=2),
         )
         np.testing.assert_array_equal(
             serial.exact.values, sharded.exact.values

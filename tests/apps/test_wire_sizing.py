@@ -5,6 +5,9 @@ import pytest
 
 from repro.apps import WireSizingProblem, optimize_width, sweep_widths
 from repro.errors import ReproError
+from repro.runtime import RuntimeConfig
+
+PARALLEL = RuntimeConfig(workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +107,14 @@ class TestSweepWidths:
     @pytest.mark.parametrize("model", ["rc", "rlc"])
     def test_workers_bitwise_identical(self, problem, model):
         serial = sweep_widths(problem, self.WIDTHS, model=model)
-        sharded = sweep_widths(problem, self.WIDTHS, model=model, workers=2)
+        sharded = sweep_widths(
+            problem, self.WIDTHS, model=model, config=PARALLEL
+        )
         np.testing.assert_array_equal(serial, sharded)
 
     def test_sweep_brackets_the_optimum(self, problem):
         result = optimize_width(problem)
-        delays = sweep_widths(problem, self.WIDTHS, workers=2)
+        delays = sweep_widths(problem, self.WIDTHS, config=PARALLEL)
         assert delays.min() >= result.delay - 1e-18
         assert delays.min() <= 1.2 * result.delay
 
@@ -122,4 +127,4 @@ class TestSweepWidths:
 
     def test_out_of_range_width_rejected(self, problem):
         with pytest.raises(ReproError):
-            sweep_widths(problem, [problem.max_width * 2], workers=2)
+            sweep_widths(problem, [problem.max_width * 2], config=PARALLEL)

@@ -1,6 +1,6 @@
 """Deterministic lifecycles of the dispatch layer's process resources.
 
-The pool and the shared-memory blocks both follow the same rule: scope
+The pool and the shared-memory arenas both follow the same rule: scope
 them with a context manager for deterministic teardown, with the
 ``atexit`` hook only as a last-resort fallback. These tests exercise the
 context-manager paths — creation, reuse, teardown on success and on
@@ -13,10 +13,9 @@ import pytest
 from repro.circuit import fig5_tree, random_tree
 from repro.engine import analyze_many, dispatch_pool
 from repro.engine.dispatch import (
-    SharedBlock,
+    SupervisionPolicy,
     _arenas,
     _atexit_cleanup,
-    _live_blocks,
     arena_info,
     dispatch_telemetry,
     get_arena,
@@ -29,7 +28,7 @@ from repro.engine.dispatch import (
     shutdown_pool,
     worker_cache_infos,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="no shared memory on platform"
@@ -82,42 +81,13 @@ class TestDispatchPoolScope:
         assert all(isinstance(o, TimingTable) for o in outcomes)
 
 
-class TestSharedBlockScope:
-    def test_context_manager_closes_and_unregisters(self):
-        data = np.arange(12.0).reshape(3, 4)
-        with SharedBlock(data) as block:
-            assert block in _live_blocks
-            assert block.ref.shape == (3, 4)
-        assert block not in _live_blocks
-        # The segment is gone: attaching by name must fail.
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=block.ref.name)
-
-    def test_close_is_idempotent(self):
-        block = SharedBlock(np.ones(4))
-        block.close()
-        block.close()
-        assert block not in _live_blocks
-
-    def test_block_copies_data(self):
-        from repro.engine.dispatch import _attach_block
-
-        data = np.array([1.0, 2.0, 3.0])
-        with SharedBlock(data) as block:
-            data[0] = 99.0  # mutating the source is invisible
-            segment, view = _attach_block(block.ref)
-            try:
-                assert view.tolist() == [1.0, 2.0, 3.0]
-            finally:
-                segment.close()
-
-    def test_exception_inside_block_still_cleans_up(self):
-        with pytest.raises(ValueError, match="inner"):
-            with SharedBlock(np.zeros(2)) as block:
-                raise ValueError("inner")
-        assert block not in _live_blocks
+class TestSupervisionPolicy:
+    @pytest.mark.parametrize("backoff", [float("nan"), -0.5])
+    def test_backoff_must_be_a_non_negative_number(self, backoff):
+        # A NaN backoff used to pass validation and then crash the first
+        # retry round inside time.sleep with a raw ValueError.
+        with pytest.raises(ConfigurationError):
+            SupervisionPolicy(backoff=backoff)
 
 
 class TestSupervisedLifecycle:
@@ -142,6 +112,22 @@ class TestSupervisedLifecycle:
         assert pool_generation() == generation + 1
         assert get_pool(2) is rebuilt  # cached, no second rebuild
         assert pool_size() == 2
+
+    def test_shared_block_survives_pool_rebuild(self):
+        # Shared segments are parent-owned; a rebuild must not unlink
+        # them, only releasing the arena does.
+        from multiprocessing import shared_memory
+
+        arena = get_arena("test-rebuild")
+        arena.begin(256)
+        get_pool(2)
+        rebuild_pool()
+        attached = shared_memory.SharedMemory(name=arena.name)
+        attached.close()
+        name = arena.name
+        release_arenas()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
     def test_rebuild_without_pool_is_a_no_op(self):
         assert pool_size() == 0
@@ -169,41 +155,6 @@ class TestSupervisedLifecycle:
         infos = worker_cache_infos(timeout=5.0)
         assert isinstance(infos, dict)
         assert victim.pid not in infos
-
-    def test_shared_block_survives_pool_rebuild(self):
-        # Blocks are parent-owned; a rebuild must not unlink them.
-        from multiprocessing import shared_memory
-
-        with SharedBlock(np.arange(6.0)) as block:
-            get_pool(2)
-            rebuild_pool()
-            attached = shared_memory.SharedMemory(name=block.ref.name)
-            attached.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=block.ref.name)
-
-    def test_atexit_cleanup_unlinks_blocks_by_name(self):
-        from multiprocessing import shared_memory
-
-        block = SharedBlock(np.zeros(3))
-        name = block.ref.name
-        get_pool(2)
-        _atexit_cleanup()
-        assert pool_size() == 0
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_atexit_cleanup_survives_a_poisoned_block(self):
-        from multiprocessing import shared_memory
-
-        bad = SharedBlock(np.zeros(2))
-        bad.close()
-        _live_blocks.add(bad)  # simulate a block whose close() will fail
-        good = SharedBlock(np.zeros(2))
-        name = good.ref.name
-        _atexit_cleanup()  # must not propagate the double-close
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class TestArenaLifecycle:
@@ -347,3 +298,28 @@ class TestArenaLifecycle:
         assert not _arenas
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+    def test_atexit_cleanup_survives_a_poisoned_arena(self, monkeypatch):
+        # Each arena close is shielded: one that raises must stop
+        # neither the unlinking of its siblings nor the pool teardown.
+        from multiprocessing import shared_memory
+
+        bad = get_arena("test-atexit-poisoned")
+        bad.begin(64)
+        real_close = bad.close
+
+        def poisoned_close():
+            raise OSError("poisoned close")
+
+        monkeypatch.setattr(bad, "close", poisoned_close)
+        good = get_arena("test-atexit-good")
+        good.begin(64)
+        name = good.name
+        get_pool(2)
+        try:
+            _atexit_cleanup()  # must not propagate the poisoned close
+            assert pool_size() == 0
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        finally:
+            real_close()

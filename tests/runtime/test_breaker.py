@@ -109,6 +109,12 @@ class TestCircuitBreaker:
         with pytest.raises(ConfigurationError):
             CircuitBreaker(cooldown=-1.0)
 
+    def test_nan_cooldown_rejected(self):
+        # A NaN cooldown never compares >=, so a tripped breaker would
+        # never reach half-open again.
+        with pytest.raises(ConfigurationError):
+            CircuitBreaker(cooldown=float("nan"))
+
 
 class TestBreakerBoard:
     def test_breakers_created_lazily_and_cached(self, clock):

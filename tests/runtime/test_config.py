@@ -1,20 +1,9 @@
-"""RuntimeConfig validation and the deprecated-alias funnel."""
+"""RuntimeConfig validation."""
 
-import warnings
-
-import numpy as np
 import pytest
 
-from repro.apps.buffer_insertion import Buffer, insert_buffers
-from repro.apps.variation import VariationModel, sample_delays
-from repro.apps.wire_sizing import WireSizingProblem, optimize_width
-from repro.circuit import single_line
 from repro.errors import ConfigurationError
-from repro.runtime import (
-    RuntimeConfig,
-    reset_deprecation_warnings,
-    warn_deprecated_alias,
-)
+from repro.runtime import RuntimeConfig
 
 
 class TestValidation:
@@ -33,6 +22,14 @@ class TestValidation:
             {"flush_threshold": -0.1},
             {"point_scalar_max": -1},
             {"sharded_min_cells": -1},
+            # NaN passed the old ``x < 0`` guards: a NaN backoff crashed
+            # the first retry in time.sleep, a NaN cooldown kept a
+            # tripped breaker open for good, and a NaN point_scalar_max
+            # silently routed every point query to compiled.
+            {"retry_backoff": float("nan")},
+            {"breaker_cooldown": float("nan")},
+            {"point_scalar_max": float("nan")},
+            {"sharded_min_cells": float("nan")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -50,54 +47,3 @@ class TestValidation:
         assert config.with_backend("scalar") is not config
         with pytest.raises(ConfigurationError):
             config.with_backend("turbo")
-
-
-class TestAliasWarnings:
-    @pytest.fixture(autouse=True)
-    def rearm(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def test_warns_exactly_once_per_site(self):
-        with pytest.warns(DeprecationWarning, match="repro.runtime alias"):
-            warn_deprecated_alias("f", "flag", "config=...")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            warn_deprecated_alias("f", "flag", "config=...")  # silent now
-        # A different (func, kwarg) pair still warns.
-        with pytest.warns(DeprecationWarning):
-            warn_deprecated_alias("g", "flag", "config=...")
-
-    def test_sample_delays_workers_alias(self, fig5):
-        with pytest.warns(
-            DeprecationWarning, match=r"sample_delays\(workers=\.\.\.\)"
-        ):
-            study = sample_delays(
-                fig5, "n7", VariationModel(), samples=4, workers=1
-            )
-        assert np.all(np.isfinite(study.rlc.values))
-
-    def test_optimize_width_alias(self):
-        problem = WireSizingProblem(num_sections=6)
-        with pytest.warns(
-            DeprecationWarning, match=r"optimize_width\(use_incremental"
-        ):
-            old = optimize_width(problem, use_incremental=True)
-        new = optimize_width(
-            problem, config=RuntimeConfig(backend="incremental")
-        )
-        assert old.width == new.width
-
-    def test_insert_buffers_alias(self):
-        line = single_line(
-            6, resistance=100.0, inductance=1e-9, capacitance=0.3e-12
-        )
-        cell = Buffer(output_resistance=30.0, input_capacitance=10e-15)
-        with pytest.warns(
-            DeprecationWarning, match=r"insert_buffers\(use_incremental"
-        ):
-            old = insert_buffers(line, cell, use_incremental=False)
-        new = insert_buffers(line, cell, config=RuntimeConfig(backend="scalar"))
-        assert old.buffer_nodes == new.buffer_nodes
-        assert old.required_at_root == new.required_at_root

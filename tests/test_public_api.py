@@ -1,0 +1,38 @@
+"""Every module of the package imports, and every ``__all__`` entry
+resolves.
+
+A stale export (a name left in ``__all__`` after its definition was
+deleted) only fails at ``from module import *`` time or for the first
+caller that reaches for it; this walk catches it in the ordinary suite.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import repro
+
+
+def _module_names():
+    names = [repro.__name__]
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        names.append(info.name)
+    return sorted(names)
+
+
+MODULES = _module_names()
+
+
+def test_walk_finds_the_subpackages():
+    for name in ("repro.engine", "repro.runtime", "repro.sweep"):
+        assert name in MODULES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_and_exports_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported), "duplicate __all__ entries"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
