@@ -24,6 +24,7 @@ so ``loads(dumps(tree))`` round-trips bit-exactly.
 from __future__ import annotations
 
 import io
+from collections import deque
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from ..errors import NetlistError
@@ -169,10 +170,12 @@ def _graph_to_tree(
     root: str,
 ) -> RLCTree:
     """Collapse the R/L element graph into a tree of sections."""
-    adjacency: Dict[str, List[Tuple[str, str, float]]] = {}
-    for kind, a, b, value, _line in branches:
-        adjacency.setdefault(a, []).append((b, kind, value))
-        adjacency.setdefault(b, []).append((a, kind, value))
+    # Edges are identified by their branch index, so two identical
+    # elements between the same nodes stay two edges (a loop).
+    adjacency: Dict[str, List[Tuple[str, str, float, int]]] = {}
+    for edge, (kind, a, b, value, _line) in enumerate(branches):
+        adjacency.setdefault(a, []).append((b, kind, value, edge))
+        adjacency.setdefault(b, []).append((a, kind, value, edge))
     if root not in adjacency:
         raise NetlistError(f"root node {root!r} touches no R/L element")
 
@@ -187,41 +190,38 @@ def _graph_to_tree(
     tree = RLCTree(root)
     visited_nodes = {root}
     used_edges: set = set()
-    # Each frontier entry: (tree_parent_name, graph_node_to_expand)
-    frontier = [root]
+    # BFS over junctions keeps node order close to the source text.
+    frontier = deque([root])
     expanded = set()
     while frontier:
-        junction = frontier.pop(0)  # BFS keeps node order close to the source text
+        junction = frontier.popleft()
         if junction in expanded:
             continue
         expanded.add(junction)
-        for neighbor, kind, value in adjacency[junction]:
-            edge = _edge_key(junction, neighbor, kind, value)
+        for neighbor, kind, value, edge in adjacency[junction]:
             if edge in used_edges:
                 continue
             # Walk the chain until the next junction.
             r_total = value if kind == "R" else 0.0
             l_total = value if kind == "L" else 0.0
             used_edges.add(edge)
-            previous, current = junction, neighbor
+            current = neighbor
             while not is_junction(current):
                 onward = [
-                    (nxt, k, v)
-                    for (nxt, k, v) in adjacency[current]
-                    if _edge_key(current, nxt, k, v) not in used_edges
+                    step for step in adjacency[current]
+                    if step[3] not in used_edges
                 ]
                 if len(onward) != 1:
                     raise NetlistError(
                         f"internal node {current!r} is not a simple series point"
                     )
-                nxt, k, v = onward[0]
-                used_edges.add(_edge_key(current, nxt, k, v))
+                nxt, k, v, step_edge = onward[0]
+                used_edges.add(step_edge)
                 if k == "R":
                     r_total += v
                 else:
                     l_total += v
-                previous, current = current, nxt
-            del previous
+                current = nxt
             if current in visited_nodes:
                 raise NetlistError(
                     f"netlist contains a loop through node {current!r}; "
@@ -245,8 +245,3 @@ def _graph_to_tree(
             "some R/L elements are not reachable from the root"
         )
     return tree
-
-
-def _edge_key(a: str, b: str, kind: str, value: float) -> Tuple:
-    """Canonical identity of an undirected element edge."""
-    return (min(a, b), max(a, b), kind, value)

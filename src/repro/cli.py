@@ -292,9 +292,12 @@ def _cmd_analyze(args) -> int:
         )
         for diagnostic in analyzer.validation.warnings():
             print(f"warning: {diagnostic}", file=sys.stderr)
-        tree = analyzer.tree  # the (possibly repaired) tree
-    nodes = args.node if args.node else list(tree.nodes)
-    rows = [analyzer.timing(node) for node in nodes]
+    if args.node:
+        rows = [analyzer.timing(node) for node in args.node]
+    else:
+        # Both analyzers cover the whole (possibly repaired) tree in one
+        # table pass.
+        rows = analyzer.report()
     if args.csv:
         print("node,zeta,omega_n,delay_50,rise_time,overshoot,settling,"
               "elmore_delay")

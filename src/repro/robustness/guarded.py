@@ -13,7 +13,10 @@ with the three defensive layers the rest of this package provides:
    ``exact`` (modal simulation measured on a node-adaptive grid). A
    tier answers only with a finite value; anything else — a
    :class:`~repro.errors.ReproError`, a numpy ``LinAlgError``, an
-   overflow, a NaN — is recorded and the next tier runs.
+   overflow, a NaN — is recorded and the next tier runs. When the
+   runtime session holds the tree's closed-form table, the first tier
+   is one read of it: nodes whose metrics it gives finite are answered
+   there, and only the others walk the chain.
 3. **Numerical-health retries** — the exact tier probes its
    eigendecomposition (condition, residual, finiteness) and on a
    tripped probe retries once in normalized units
@@ -146,6 +149,38 @@ class RobustnessReport:
         )
 
 
+#: The provenance of every metric the closed-form table answers: its
+#: first tier succeeded. One tuple shared by all those reports.
+_CLOSED_FORM_OK: Tuple[TierAttempt, ...] = (TierAttempt("closed-form", "ok"),)
+
+
+def _closed_form_report(node: str, metric: str, value: float) -> RobustnessReport:
+    """A table-answered metric's report (shares :data:`_CLOSED_FORM_OK`)."""
+    return RobustnessReport(
+        node=node, metric=metric, value=value, tier="closed-form",
+        attempts=_CLOSED_FORM_OK,
+    )
+
+
+def _finite_row(m, i: int) -> bool:
+    """True when the table answers all four guarded metrics at row ``i``.
+
+    The same finiteness test a single query's closed-form tier applies;
+    a row that fails it (any metric non-finite) walks the chain. An
+    incremental session's table also tabulates sums outside the closed
+    forms' domain, which that tier rejects with a typed error; on a
+    validated tree (no negative elements) those are overflowed sums or
+    ``T_RC = 0 < T_LC``, whose settling time is infinite, so they fail
+    this test and walk the chain too.
+    """
+    return (
+        math.isfinite(m.delay_50[i])
+        and math.isfinite(m.rise_time[i])
+        and math.isfinite(m.overshoot[i])
+        and math.isfinite(m.settling[i])
+    )
+
+
 @dataclass(frozen=True)
 class GuardedTiming(NodeTiming):
     """A :class:`NodeTiming` that remembers how each metric was obtained."""
@@ -155,6 +190,35 @@ class GuardedTiming(NodeTiming):
     @property
     def degraded(self) -> bool:
         return any(r.degraded for r in self.reports)
+
+
+class _ClosedFormReports:
+    """The ``reports`` of a row the closed-form table answered whole.
+
+    A non-data descriptor, so a ``reports`` entry in the instance
+    ``__dict__`` (every row built through ``__init__`` or the chain)
+    wins. Rows built from the table leave it unset: their four reports
+    are a pure function of the row — closed-form tier, the row's own
+    values, the shared :data:`_CLOSED_FORM_OK` attempts — and are built
+    on first read and then cached, instead of 4n records per report
+    that most callers never look at.
+    """
+
+    def __get__(self, timing, owner=None):
+        if timing is None:
+            return ()  # the dataclass field default
+        values = (
+            timing.delay_50, timing.rise_time, timing.overshoot, timing.settling
+        )
+        reports = tuple(
+            _closed_form_report(timing.node, metric, value)
+            for metric, value in zip(_METRICS, values)
+        )
+        timing.__dict__["reports"] = reports
+        return reports
+
+
+GuardedTiming.reports = _ClosedFormReports()
 
 
 class GuardedAnalyzer:
@@ -260,8 +324,14 @@ class GuardedAnalyzer:
                 f"{closed_form_backend!r}"
             )
         self._closed_form_backend = closed_form_backend
-        # The static helper behind timing()'s sums and the exact tier's
-        # horizon estimates; reuse the session's analyzer when it has one.
+        # Whether the first tier may be answered from the session's
+        # table; cleared for good once the session turns out to have none.
+        self._table_backed = (
+            chain[0] == "closed-form" and closed_form_backend is None
+        )
+        # The static helper behind the sums of table-less timing() rows
+        # and the exact tier's horizon estimates; reuse the session's
+        # analyzer when it has one.
         session_analyzer = (
             self._session.analyzer if self._session is not None else None
         )
@@ -307,9 +377,151 @@ class GuardedAnalyzer:
             raise ConfigurationError(
                 f"unknown metric {metric!r}; choose from {tuple(_METRICS)}"
             )
+        self._check_node(node)
+        table = self._closed_form_table()
+        if table is not None:
+            m = table.metrics
+            i = table.index(node)
+            if _finite_row(m, i):
+                return _closed_form_report(
+                    node, metric, float(table.column(metric)[i])
+                )
+        return self._resolve(metric, node)
+
+    def delay_50(self, node: str) -> float:
+        """Guarded 50% delay at ``node``."""
+        return self.query("delay_50", node).value
+
+    def rise_time(self, node: str) -> float:
+        """Guarded 10-90% rise time at ``node``."""
+        return self.query("rise_time", node).value
+
+    def overshoot(self, node: str) -> float:
+        """Guarded first-overshoot fraction at ``node`` (0 if monotone)."""
+        return self.query("overshoot", node).value
+
+    def settling_time(self, node: str) -> float:
+        """Guarded settling time at ``node``."""
+        return self.query("settling_time", node).value
+
+    def timing(self, node: str) -> GuardedTiming:
+        """All metrics for one node, each resolved through the chain."""
+        table = self._closed_form_table()
+        if table is None:
+            return self._chain_timing(node)
+        self._check_node(node)
+        m = table.metrics
+        i = table.index(node)
+        return self._table_rows([(
+            node,
+            _finite_row(m, i),
+            float(m.t_rc[i]),
+            float(m.t_lc[i]),
+            float(m.zeta[i]),
+            float(m.omega_n[i]),
+            float(m.delay_50[i]),
+            float(m.rise_time[i]),
+            float(m.overshoot[i]),
+            float(m.settling[i]),
+        )])[0]
+
+    def report(self, nodes: Optional[Sequence[str]] = None) -> List[GuardedTiming]:
+        """Per-node guarded metrics for ``nodes`` (default: every node).
+
+        With the closed-form table available the whole tree costs one
+        table read: every node whose four metrics are finite is answered
+        from it, and only the rest walk the fallback chain.
+        """
+        table = None if nodes is not None else self._closed_form_table()
+        if table is None:
+            selected = self._tree.nodes if nodes is None else list(nodes)
+            return [self.timing(node) for node in selected]
+        m = table.metrics
+        finite = (
+            np.isfinite(m.delay_50)
+            & np.isfinite(m.rise_time)
+            & np.isfinite(m.overshoot)
+            & np.isfinite(m.settling)
+        )
+        return self._table_rows(zip(
+            table.names,
+            finite.tolist(),
+            m.t_rc.tolist(),
+            m.t_lc.tolist(),
+            m.zeta.tolist(),
+            m.omega_n.tolist(),
+            m.delay_50.tolist(),
+            m.rise_time.tolist(),
+            m.overshoot.tolist(),
+            m.settling.tolist(),
+        ))
+
+    # -- the table-backed closed-form tier ------------------------------------
+
+    def _closed_form_table(self):
+        """The session's full metric table when it answers the first tier.
+
+        ``None`` — so every query walks the chain as a single query
+        would — when the chain does not open with ``closed-form``, a
+        custom or ``"incremental"`` backend answers that tier, or the
+        session has no table (scalar backend, ineligible tree).
+        """
+        if not self._table_backed:
+            return None
+        table = self._session.table()
+        if table is None:
+            # A session without a table never grows one: stop asking.
+            self._table_backed = False
+        return table
+
+    def _table_rows(self, rows) -> List[GuardedTiming]:
+        """``GuardedTiming`` objects from table rows.
+
+        Each row is ``(node, finite, t_rc, t_lc, zeta, omega_n,
+        delay_50, rise_time, overshoot, settling)``. A finite row is the
+        closed-form answer as it stands; any other row resolves each
+        metric through the full chain, exactly as :meth:`query` walks
+        it. Objects are built with ``__new__`` plus one ``__dict__``
+        update, as :meth:`~repro.engine.TimingTable.timings` does,
+        skipping the frozen dataclass's per-field setattr.
+        """
+        new = object.__new__
+        out = []
+        for (
+            node, finite, t_rc, t_lc, zeta, omega_n, delay, rise, over, settle
+        ) in rows:
+            timing = new(GuardedTiming)
+            state = timing.__dict__
+            if not finite:
+                reports = tuple(
+                    self._resolve(metric, node) for metric in _METRICS
+                )
+                delay, rise, over, settle = (rep.value for rep in reports)
+                state["reports"] = reports
+            # A finite row leaves ``reports`` unset: _ClosedFormReports
+            # builds its four closed-form records on first read.
+            state.update(
+                node=node,
+                t_rc=t_rc,
+                t_lc=t_lc,
+                zeta=zeta,
+                omega_n=omega_n,
+                delay_50=delay,
+                rise_time=rise,
+                overshoot=over,
+                settling=settle,
+            )
+            out.append(timing)
+        return out
+
+    # -- the per-query chain --------------------------------------------------
+
+    def _check_node(self, node: str) -> None:
         if node not in self._tree or node == self._tree.root:
             raise TopologyError(f"unknown node {node!r}")
 
+    def _resolve(self, metric: str, node: str) -> RobustnessReport:
+        """Walk the tier chain for one (known) metric at one (known) node."""
         attempts: List[TierAttempt] = []
         for tier in self._chain:
             runner = getattr(self, "_tier_" + tier.replace("-", "_"))
@@ -347,24 +559,8 @@ class GuardedAnalyzer:
             attempts=tuple(attempts),
         )
 
-    def delay_50(self, node: str) -> float:
-        """Guarded 50% delay at ``node``."""
-        return self.query("delay_50", node).value
-
-    def rise_time(self, node: str) -> float:
-        """Guarded 10-90% rise time at ``node``."""
-        return self.query("rise_time", node).value
-
-    def overshoot(self, node: str) -> float:
-        """Guarded first-overshoot fraction at ``node`` (0 if monotone)."""
-        return self.query("overshoot", node).value
-
-    def settling_time(self, node: str) -> float:
-        """Guarded settling time at ``node``."""
-        return self.query("settling_time", node).value
-
-    def timing(self, node: str) -> GuardedTiming:
-        """All metrics for one node, each resolved through the chain."""
+    def _chain_timing(self, node: str) -> GuardedTiming:
+        """:meth:`timing` without a closed-form table: one walk per metric."""
         reports = tuple(self.query(metric, node) for metric in _METRICS)
         values = {r.metric: r.value for r in reports}
         # An edited backend is the live source of truth for the sums and
@@ -390,11 +586,6 @@ class GuardedAnalyzer:
             settling=values["settling_time"],
             reports=reports,
         )
-
-    def report(self, nodes: Optional[Sequence[str]] = None) -> List[GuardedTiming]:
-        """Per-node guarded metrics for ``nodes`` (default: every node)."""
-        selected = self._tree.nodes if nodes is None else list(nodes)
-        return [self.timing(node) for node in selected]
 
     # -- tiers ----------------------------------------------------------------
 

@@ -31,7 +31,7 @@ import numpy as np
 from ..analysis.analyzer import NodeTiming, TreeAnalyzer
 from ..analysis.delay import elmore_delay
 from ..circuit.tree import RLCTree
-from ..engine import analyze_batch, analyze_many, evaluate
+from ..engine import analyze_batch, analyze_many, evaluate, fast_path_eligible
 from ..engine.compiled import CompiledTree
 from ..engine.incremental import IncrementalAnalyzer
 from ..engine.sharded import ShardError, analyze_batch_sharded
@@ -198,7 +198,13 @@ class _IncrementalState(SessionState):
         return self._incremental.sums(node)
 
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[NodeTiming]:
-        return self._incremental.timing_table().timings(nodes)
+        table = self._incremental.timing_table()
+        if not fast_path_eligible(table.metrics.t_rc, table.metrics.t_lc):
+            # The table tabulates out-of-domain sums without a check; the
+            # per-node path raises their typed error, as timing() does.
+            selected = table.names if nodes is None else nodes
+            return [self._incremental.timing(node) for node in selected]
+        return table.timings(nodes)
 
     def table(self) -> Optional[TimingTable]:
         return self._incremental.timing_table()

@@ -130,6 +130,14 @@ class TestReaderErrors:
         with pytest.raises(NetlistError, match="loop|series"):
             loads(text)
 
+    @pytest.mark.parametrize("second", ["10", "20"])
+    def test_parallel_elements_are_a_loop(self, second):
+        # Two resistors between the same nodes form a loop whether or
+        # not their values match; equal values must not merge them.
+        text = f"V1 in 0 1\nR1 in a 10\nR2 in a {second}\nC1 a 0 1p\n.end"
+        with pytest.raises(NetlistError, match="loop through node 'a'"):
+            loads(text)
+
     def test_disconnected_element(self):
         text = "Vin in 0\nR1 in a 10\nC1 a 0 1p\nR9 x y 5\n"
         with pytest.raises(NetlistError, match="reachable"):

@@ -117,6 +117,24 @@ class TestSessionEquivalence:
         for a, b in zip(rows["scalar"], rows["incremental"]):
             assert a == b
 
+    @pytest.mark.parametrize("backend", ["scalar", "compiled", "incremental"])
+    def test_report_raises_where_timing_raises(self, backend):
+        # T_RC = 0 with T_LC > 0 is outside the closed forms' domain: a
+        # whole-tree report must fail with the per-node typed error, not
+        # tabulate the out-of-domain row.
+        from repro.circuit import RLCTree
+        from repro.errors import ElementValueError
+
+        tree = RLCTree()
+        tree.add_section("a", "in", resistance=0.0, inductance=1e-9,
+                         capacitance=1e-12)
+        with ExecutionContext() as context:
+            session = context.session(tree, backend=backend)
+            with pytest.raises(ElementValueError):
+                session.timing("a")
+            with pytest.raises(ElementValueError):
+                session.report()
+
     def test_editor_only_on_incremental(self, fig5):
         context = ExecutionContext()
         session = context.session(fig5, backend="incremental")

@@ -44,6 +44,48 @@ class TestAnalyze:
         assert len(fields) == 8
         float(fields[1])  # zeta parses
 
+    @pytest.mark.parametrize("mode", [["--unguarded"], []])
+    def test_whole_tree_csv_is_the_session_report(self, tmp_path, capsys, mode):
+        # Without --node both analyzers emit the session's bulk report,
+        # byte for byte.
+        import numpy as np
+
+        from repro.circuit import random_tree
+        from repro.circuit.netlist import loads
+        from repro.runtime import ExecutionContext
+
+        path = tmp_path / "random.sp"
+        path.write_text(dumps(random_tree(400, np.random.default_rng(5))))
+        assert main(["analyze", str(path), "--csv", *mode]) == 0
+        out = capsys.readouterr().out
+        with ExecutionContext() as ctx:
+            rows = ctx.session(loads(path.read_text())).report()
+        expected = [
+            "node,zeta,omega_n,delay_50,rise_time,overshoot,settling,"
+            "elmore_delay"
+        ] + [
+            f"{t.node},{t.zeta:.6g},{t.omega_n:.6g},{t.delay_50:.6g},"
+            f"{t.rise_time:.6g},{t.overshoot:.6g},{t.settling:.6g},"
+            f"{t.elmore_delay:.6g}"
+            for t in rows
+        ]
+        assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("backend", ["scalar", "compiled", "incremental"])
+    def test_unguarded_out_of_domain_net_is_an_error(
+        self, tmp_path, capsys, backend
+    ):
+        # R = 0 puts node a outside the closed forms' domain (T_RC = 0).
+        path = tmp_path / "lc.sp"
+        path.write_text("V1 in 0 1\nL1 in a 1n\nC1 a 0 1p\n.end\n")
+        code = main(
+            ["analyze", str(path), "--csv", "--unguarded", "--backend", backend]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert "node," not in captured.out
+
     def test_missing_file_is_error(self, capsys):
         assert main(["analyze", "/nonexistent/net.sp"]) == 2
         assert "error" in capsys.readouterr().err
