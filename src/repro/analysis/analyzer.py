@@ -131,7 +131,11 @@ class TreeAnalyzer:
     # -- per-node primitives ---------------------------------------------------
 
     def sums(self, node: str) -> Tuple[float, float]:
-        """``(T_RC, T_LC)`` at ``node``."""
+        """``(T_RC, T_LC)`` at ``node``, from the table when it is engaged."""
+        if self._table is not None:
+            i = self._table.index(node)
+            m = self._table.metrics
+            return float(m.t_rc[i]), float(m.t_lc[i])
         t_rc, t_lc = self._sums
         if node not in t_rc:
             raise TopologyError(f"unknown node {node!r}")

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import TreeAnalyzer, delay_sensitivities, fit_delay, fit_rise
+from .analysis import SecondOrderModel, delay_sensitivities, fit_delay, fit_rise
 from .circuit import WireGeometry, inductance_window
 from .circuit.netlist import loads
 from .errors import ReproError
@@ -341,13 +341,12 @@ def _cmd_simulate(args) -> int:
     columns = [t, exact]
     header = "time,v_exact"
     if args.model:
-        session = args.runtime.session(tree)
-        analyzer = session.analyzer or TreeAnalyzer(tree)
-        model = analyzer.model(args.node)
-        if model is None:
+        t_rc, t_lc = args.runtime.session(tree).sums(args.node)
+        if t_lc == 0.0:
             raise ReproError(
                 f"node {args.node!r} is RC-limit; no second-order waveform"
             )
+        model = SecondOrderModel.from_sums(t_rc, t_lc)
         from .analysis.response import model_response
 
         columns.append(model_response(model, source, t))

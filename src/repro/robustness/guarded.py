@@ -1,7 +1,7 @@
 """The guarded analysis pipeline: an answer or a well-typed error.
 
-:class:`GuardedAnalyzer` wraps :class:`~repro.analysis.TreeAnalyzer`
-with the three defensive layers the rest of this package provides:
+:class:`GuardedAnalyzer` wraps a runtime session's closed forms with
+the three defensive layers the rest of this package provides:
 
 1. **Validation** — the input tree is validated (and optionally
    repaired under an explicit :class:`~repro.robustness.RepairPolicy`)
@@ -244,17 +244,16 @@ class GuardedAnalyzer:
         Bound on unit-rescaling retries in the exact tier (0 disables
         rescaling entirely).
     closed_form_backend:
-        What answers the ``closed-form`` tier. ``None`` (default) opens
-        a runtime session on the sanitized tree, so the tier rides
-        whatever backend the execution planner picks (the engine table
-        with the scalar sweep as in-state fallback). The string
-        ``"incremental"`` opens an edit-stream session instead, whose
-        live :class:`~repro.engine.incremental.IncrementalAnalyzer` —
+        What answers the ``closed-form`` tier: ``None`` or
+        ``"incremental"``. ``None`` (default) opens a runtime session on
+        the sanitized tree, so the tier rides whatever backend the
+        execution planner picks (the engine table, or the scalar sweep
+        for a tree outside the closed forms' domain). ``"incremental"``
+        opens an edit-stream session instead, whose live
+        :class:`~repro.engine.incremental.IncrementalAnalyzer` —
         exposed as :attr:`closed_form_backend` — edit-heavy callers can
         mutate between queries while keeping the full fallback chain
         (AWE, exact simulation) behind the delta-updated closed forms.
-        Any object with a ``value(metric, node)`` method works; its
-        typed errors feed the tier chain like the default path's do.
     config / context:
         Runtime routing for the closed-form tier: an explicit
         :class:`~repro.runtime.ExecutionContext` wins, a bare
@@ -281,7 +280,7 @@ class GuardedAnalyzer:
         policy: Optional[RepairPolicy] = None,
         awe_order: int = 3,
         max_rescale_retries: int = 1,
-        closed_form_backend: object = None,
+        closed_form_backend: Optional[str] = None,
         config: Optional[RuntimeConfig] = None,
         context: Optional[ExecutionContext] = None,
     ):
@@ -309,34 +308,23 @@ class GuardedAnalyzer:
         self.validation.raise_if_errors()
 
         self._runtime = resolve_context(context, config)
-        self._session = None
         if closed_form_backend == "incremental":
             self._session = self._runtime.session(
                 self._tree, settle_band, backend="incremental", kind="edit"
             )
-            closed_form_backend = self._session.editor()
+            self._closed_form_backend = self._session.editor()
         elif closed_form_backend is None:
             self._session = self._runtime.session(self._tree, settle_band)
-        elif not callable(getattr(closed_form_backend, "value", None)):
+            self._closed_form_backend = None
+        else:
             raise ConfigurationError(
-                "closed_form_backend must be None, 'incremental', or an "
-                "object with a value(metric, node) method; got "
+                "closed_form_backend must be None or 'incremental', got "
                 f"{closed_form_backend!r}"
             )
-        self._closed_form_backend = closed_form_backend
         # Whether the first tier may be answered from the session's
         # table; cleared for good once the session turns out to have none.
         self._table_backed = (
             chain[0] == "closed-form" and closed_form_backend is None
-        )
-        # The static helper behind the sums of table-less timing() rows
-        # and the exact tier's horizon estimates; reuse the session's
-        # analyzer when it has one.
-        session_analyzer = (
-            self._session.analyzer if self._session is not None else None
-        )
-        self._analyzer = session_analyzer or TreeAnalyzer(
-            self._tree, settle_band=settle_band
         )
         # Exact-tier simulators, one per rescaling attempt, built lazily:
         # attempt index -> (simulator, helper analyzer, time scale).
@@ -462,9 +450,9 @@ class GuardedAnalyzer:
         """The session's full metric table when it answers the first tier.
 
         ``None`` — so every query walks the chain as a single query
-        would — when the chain does not open with ``closed-form``, a
-        custom or ``"incremental"`` backend answers that tier, or the
-        session has no table (scalar backend, ineligible tree).
+        would — when the chain does not open with ``closed-form``, the
+        ``"incremental"`` backend answers that tier, or the session has
+        no table (scalar backend, ineligible tree).
         """
         if not self._table_backed:
             return None
@@ -563,23 +551,15 @@ class GuardedAnalyzer:
         """:meth:`timing` without a closed-form table: one walk per metric."""
         reports = tuple(self.query(metric, node) for metric in _METRICS)
         values = {r.metric: r.value for r in reports}
-        # An edited backend is the live source of truth for the sums and
-        # damping; the static helper analyzer only sees the input tree.
-        backend = self._closed_form_backend
-        if backend is not None and callable(getattr(backend, "sums", None)):
-            t_rc, t_lc = backend.sums(node)
-            zeta = backend.value("zeta", node)
-            omega_n = backend.value("omega_n", node)
-        else:
-            t_rc, t_lc = self._analyzer.sums(node)
-            zeta = self._analyzer.zeta(node)
-            omega_n = self._analyzer.omega_n(node)
+        # The session is the one source of the sums and damping; an
+        # "incremental" session's state is the live editor, so edits show.
+        t_rc, t_lc = self._session.sums(node)
         return GuardedTiming(
             node=node,
             t_rc=t_rc,
             t_lc=t_lc,
-            zeta=zeta,
-            omega_n=omega_n,
+            zeta=self._session.value("zeta", node),
+            omega_n=self._session.value("omega_n", node),
             delay_50=values["delay_50"],
             rise_time=values["rise_time"],
             overshoot=values["overshoot"],
@@ -592,21 +572,13 @@ class GuardedAnalyzer:
     def _tier_closed_form(
         self, metric: str, node: str
     ) -> Tuple[float, bool, str]:
-        if self._closed_form_backend is not None:
-            if self._session is not None:
-                # "incremental": the backend IS the session's editor, so
-                # the query goes through the session and lands on the
-                # runtime's instrumentation counters.
-                value = self._session.value(metric, node)
-            else:
-                value = self._closed_form_backend.value(metric, node)
-            return float(value), False, "delta-update backend"
         # The session's state reads the engine table when the tree is
-        # eligible and the analyzer's per-node accessors otherwise —
-        # both read the same arrays, so tier answers stay identical to
-        # direct TreeAnalyzer queries, and the scalar path's typed
-        # errors feed the tier chain as before.
-        return float(self._session.value(metric, node)), False, ""
+        # eligible and the scalar analyzer otherwise, whose typed errors
+        # feed the tier chain; "incremental" reads the live editor.
+        detail = (
+            "" if self._closed_form_backend is None else "delta-update backend"
+        )
+        return float(self._session.value(metric, node)), False, detail
 
     def _tier_awe(self, metric: str, node: str) -> Tuple[float, bool, str]:
         from ..reduction.awe import awe_step_metrics

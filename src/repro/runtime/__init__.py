@@ -29,9 +29,9 @@ one system:
   behind ``context.stats()`` and CLI ``--debug``;
 * :mod:`~repro.runtime.breaker` — per-backend circuit breakers: N
   consecutive sharded failures (or one worker-pool rebuild) open the
-  breaker, the planner degrades tripped routes along
-  ``sharded -> compiled -> scalar`` with provenance and a warn-once
-  notice, and a cooldown-expired half-open probe closes it again.
+  breaker, the planner degrades a tripped route ``sharded ->
+  compiled`` with provenance and a warn-once notice, and a
+  cooldown-expired half-open probe closes it again.
 
 See ``docs/ARCHITECTURE.md`` for the layer map and the routing
 decision table, and ``docs/ROBUSTNESS.md`` for the process-level

@@ -8,8 +8,10 @@ can route any workload without knowing engine internals:
   (``use_engine=False``); cheapest for one-off point queries on small
   trees, and the reference semantics everything else is pinned against.
 * ``"compiled"`` — the vectorized :class:`~repro.engine.TimingTable` /
-  :func:`~repro.engine.analyze_batch` pair, with the scalar path as the
-  in-state fallback for trees the fast path cannot serve.
+  :func:`~repro.engine.analyze_batch` pair. A session reads every value
+  (sums and ``elmore_delay`` included) from one table; only a tree
+  outside the closed forms' domain gets the scalar state instead, so
+  the scalar path's typed errors surface unchanged.
 * ``"incremental"`` — the delta-update
   :class:`~repro.engine.incremental.IncrementalAnalyzer` for
   edit-stream workloads.
@@ -31,7 +33,13 @@ import numpy as np
 from ..analysis.analyzer import NodeTiming, TreeAnalyzer
 from ..analysis.delay import elmore_delay
 from ..circuit.tree import RLCTree
-from ..engine import analyze_batch, analyze_many, evaluate, fast_path_eligible
+from ..engine import (
+    analyze_batch,
+    analyze_many,
+    evaluate,
+    fast_path_eligible,
+    timing_table,
+)
 from ..engine.compiled import CompiledTree
 from ..engine.incremental import IncrementalAnalyzer
 from ..engine.sharded import ShardError, analyze_batch_sharded
@@ -94,11 +102,6 @@ class SessionState(abc.ABC):
             "force backend='incremental'"
         )
 
-    @property
-    def analyzer(self) -> Optional[TreeAnalyzer]:
-        """The underlying :class:`TreeAnalyzer`, when one exists."""
-        return None
-
 
 def _require_tree(source: TreeSource, backend: str) -> RLCTree:
     if not isinstance(source, RLCTree):
@@ -110,7 +113,7 @@ def _require_tree(source: TreeSource, backend: str) -> RLCTree:
 
 
 class _AnalyzerState(SessionState):
-    """Session state backed by a :class:`TreeAnalyzer` (scalar/compiled)."""
+    """Session state backed by the scalar :class:`TreeAnalyzer`."""
 
     def __init__(self, analyzer: TreeAnalyzer):
         self._analyzer = analyzer
@@ -118,9 +121,6 @@ class _AnalyzerState(SessionState):
     def value(self, metric: str, node: str) -> float:
         if metric == "elmore_delay":
             return float(self._analyzer.elmore_delay(node))
-        table = self._analyzer.timing_table()
-        if table is not None:
-            return float(table.value(metric, node))
         method = {
             "t_rc": lambda n: self._analyzer.sums(n)[0],
             "t_lc": lambda n: self._analyzer.sums(n)[1],
@@ -144,13 +144,6 @@ class _AnalyzerState(SessionState):
 
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[NodeTiming]:
         return self._analyzer.report(None if nodes is None else list(nodes))
-
-    def table(self) -> Optional[TimingTable]:
-        return self._analyzer.timing_table()
-
-    @property
-    def analyzer(self) -> TreeAnalyzer:
-        return self._analyzer
 
 
 class _TableState(SessionState):
@@ -279,7 +272,11 @@ class ScalarBackend(Backend):
 
 
 class CompiledBackend(Backend):
-    """The vectorized table/batch engine, scalar fallback included."""
+    """The vectorized table/batch engine.
+
+    A session is one :class:`TimingTable`, whatever the source type; a
+    tree outside the closed forms' domain gets the scalar state instead.
+    """
 
     name = "compiled"
     capabilities = frozenset(
@@ -289,9 +286,11 @@ class CompiledBackend(Backend):
     def open(self, source, settle_band, config):
         if isinstance(source, CompiledTree):
             return _TableState(evaluate(source, settle_band=settle_band))
-        return _AnalyzerState(
-            TreeAnalyzer(source, settle_band=settle_band, use_engine=True)
-        )
+        # An empty tree takes the scalar state too, which rejects it.
+        table = timing_table(source, settle_band) if source.size else None
+        if table is None:
+            return ScalarBackend().open(source, settle_band, config)
+        return _TableState(table)
 
     def batch(self, compiled, rlc, settle_band, metrics, config):
         return analyze_batch(

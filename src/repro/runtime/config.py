@@ -42,10 +42,6 @@ class RuntimeConfig:
     flush_threshold:
         Dirty-fraction flush threshold handed to
         :class:`~repro.engine.incremental.IncrementalAnalyzer`.
-    point_scalar_max:
-        Point queries on trees at or below this node count route to the
-        scalar backend (dict sweeps beat compile-and-gather overhead on
-        small trees); larger trees route to the compiled table.
     sharded_min_cells:
         Batches of at least this many cells (``scenarios x nodes``)
         route to the sharded backend when ``workers > 1``; smaller
@@ -82,7 +78,6 @@ class RuntimeConfig:
     workers: Optional[int] = None
     shards: Optional[int] = None
     flush_threshold: float = 0.25
-    point_scalar_max: int = 64
     sharded_min_cells: int = 4096
     shard_timeout: Optional[float] = 30.0
     max_retries: int = 2
@@ -111,10 +106,10 @@ class RuntimeConfig:
                 f"{self.flush_threshold!r}"
             )
         # ``not x >= 0`` rather than ``x < 0`` so NaN fails too.
-        if not (self.point_scalar_max >= 0 and self.sharded_min_cells >= 0):
+        if not self.sharded_min_cells >= 0:
             raise ConfigurationError(
-                "point_scalar_max and sharded_min_cells must be "
-                "non-negative"
+                f"sharded_min_cells must be non-negative, got "
+                f"{self.sharded_min_cells!r}"
             )
         if self.shard_timeout is not None and not self.shard_timeout > 0:
             raise ConfigurationError(

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..analysis.analyzer import NodeTiming, TreeAnalyzer
+from ..analysis.analyzer import NodeTiming
 from ..circuit.tree import RLCTree
 from ..engine.compiled import CompiledTree
 from ..engine.incremental import IncrementalAnalyzer
@@ -112,11 +112,6 @@ class Session:
     @property
     def backend(self) -> str:
         return self._plan.backend
-
-    @property
-    def analyzer(self) -> Optional[TreeAnalyzer]:
-        """The underlying :class:`TreeAnalyzer`, for scalar/compiled states."""
-        return self._state.analyzer
 
     def value(self, metric: str, node: str) -> float:
         with self._record():
@@ -212,10 +207,10 @@ class ExecutionContext:
     ) -> ExecutionPlan:
         """Route one workload; forced ``backend`` always wins.
 
-        Backends whose circuit breaker is open are routed around
-        (``sharded -> compiled -> scalar``); the returned plan records
-        the degradation in its provenance and a warn-once
-        ``RuntimeWarning`` flags the first occurrence of each route.
+        A tripped ``sharded`` breaker is routed around (``sharded ->
+        compiled``); the returned plan records the degradation in its
+        provenance and a warn-once ``RuntimeWarning`` flags the first
+        occurrence of each route.
         """
         decision = plan(
             workload,

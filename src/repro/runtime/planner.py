@@ -8,7 +8,8 @@ engine* answers it, and the returned :class:`ExecutionPlan` records why
 CLI can explain a routing choice after the fact.
 
 Routing rules (first match wins), with the boundaries taken from
-:class:`~repro.runtime.config.RuntimeConfig`:
+:class:`~repro.runtime.config.RuntimeConfig` and, for point queries,
+the :data:`POINT_SCALAR_MAX` constant:
 
 ========  ============================================  ===========
 kind      condition                                     backend
@@ -22,19 +23,19 @@ batch     ``workers > 1`` and ``cells >= min_cells``    sharded
 batch     otherwise                                     compiled
 sweep     same rules as ``batch``, per chunk            sharded/compiled
 table     always (one vectorized pass)                  compiled
-point     ``tree_size <= point_scalar_max``             scalar
+point     ``tree_size <= POINT_SCALAR_MAX`` (64)        scalar
 point     otherwise                                     compiled
 ========  ============================================  ===========
 
-When a backend is *unavailable* — its circuit breaker tripped after
-repeated shard failures or a pool rebuild — the auto-routing degrades
-along ``sharded -> compiled -> scalar`` instead, stopping at the last
-backend that still supports the workload (batch/many never drop below
-``compiled``). The resulting plan is marked ``degraded`` and carries
-the skipped backend in its provenance; results are numerically
-identical on every rung of the chain, so degradation costs throughput,
-never correctness. A *forced* backend is never rerouted — an explicit
-``backend=`` wins over the breaker, and the caller owns the outcome.
+When the sharded backend is *unavailable* — its circuit breaker
+tripped after repeated shard failures or a pool rebuild — the
+auto-routing degrades ``sharded -> compiled`` instead. Only sharded
+dispatches record breaker failures, so ``compiled`` is the floor. The
+resulting plan is marked ``degraded`` and carries the skipped backend in
+its provenance; results are numerically identical on both rungs, so
+degradation costs throughput, never correctness. A *forced* backend is
+never rerouted — an explicit ``backend=`` wins over the breaker, and the
+caller owns the outcome.
 """
 
 from __future__ import annotations
@@ -47,13 +48,12 @@ from .config import RuntimeConfig
 
 __all__ = ["WORKLOAD_KINDS", "Workload", "ExecutionPlan", "plan"]
 
-#: Degradation chain: a tripped backend falls back to the next one
-#: whose results are numerically identical for the workload.
-_DEGRADE = {"sharded": "compiled", "compiled": "scalar"}
-
-#: Workload kinds the scalar backend cannot serve — their degradation
-#: chain bottoms out at ``compiled``.
-_COMPILED_FLOOR = frozenset({"batch", "many", "table", "edit", "sweep"})
+#: Point queries on trees of at most this many sections route to the
+#: scalar dict sweep, larger ones to the compiled table. Opening a point
+#: session plus one ``value()`` took 80 us scalar vs 243 us compiled on
+#: the 7-section fig5 tree, and 220 vs 310 us on a 64-section
+#: ``random_tree`` (median of five 2000-call medians, 2-core x86 VM).
+POINT_SCALAR_MAX = 64
 
 #: The six workload shapes the runtime routes.
 WORKLOAD_KINDS: Tuple[str, ...] = (
@@ -126,34 +126,19 @@ class ExecutionPlan:
 
 
 def _degrade(
-    chosen: str, workload: Workload, unavailable: Sequence[str]
+    chosen: str, unavailable: Sequence[str]
 ) -> Tuple[str, Tuple[str, ...]]:
-    """Walk the degradation chain past every unavailable backend.
+    """Route a ``sharded`` choice whose breaker is open to ``compiled``.
 
-    Returns the healthy backend plus the provenance entries describing
-    each step. The walk stops at the workload's capability floor: a
-    batch/many/table workload never drops below ``compiled`` even when
-    that breaker is open too — degradation must not change what the
-    call can compute, and at the floor the supervised dispatch layer's
-    own serial fallback is the remaining safety net.
+    Returns the healthy backend plus the provenance entry describing the
+    step. ``compiled`` is the floor: no compiled call raises the
+    :class:`~repro.errors.DispatchError` that feeds a breaker, and the
+    supervised dispatch layer's own serial fallback is the remaining
+    safety net.
     """
-    reasons = []
-    current = chosen
-    while current in unavailable:
-        fallback = _DEGRADE.get(current)
-        if fallback is None:
-            break
-        if fallback == "scalar" and workload.kind in _COMPILED_FLOOR:
-            reasons.append(
-                f"breaker open for {current!r} but {workload.kind!r} "
-                "needs the compiled kernels; keeping it"
-            )
-            break
-        reasons.append(
-            f"breaker open for {current!r} -> degraded to {fallback!r}"
-        )
-        current = fallback
-    return current, tuple(reasons)
+    if chosen == "sharded" and chosen in unavailable:
+        return "compiled", ("breaker open for 'sharded' -> degraded to 'compiled'",)
+    return chosen, ()
 
 
 def plan(
@@ -167,9 +152,9 @@ def plan(
     ``backend`` (per-call) beats ``config.backend`` beats the
     size/batch/edit-count heuristics; a forced backend always wins and
     is recorded as such in the provenance. ``unavailable`` names
-    backends whose circuit breaker is open right now — the auto chosen
-    backend degrades along ``sharded -> compiled -> scalar`` past them
-    (forced backends do not: an explicit choice beats the breaker).
+    backends whose circuit breaker is open right now — an auto chosen
+    ``sharded`` degrades to ``compiled`` past it (forced backends do
+    not: an explicit choice beats the breaker).
     """
     config = config or RuntimeConfig()
     forced = backend or config.backend
@@ -248,19 +233,19 @@ def plan(
         chosen = "compiled"
         reasons.append("full table -> one vectorized pass")
     else:  # point
-        if workload.tree_size <= config.point_scalar_max:
+        if workload.tree_size <= POINT_SCALAR_MAX:
             chosen = "scalar"
             reasons.append(
                 f"{workload.tree_size} nodes <= point_scalar_max="
-                f"{config.point_scalar_max} -> dict sweep"
+                f"{POINT_SCALAR_MAX} -> dict sweep"
             )
         else:
             chosen = "compiled"
             reasons.append(
                 f"{workload.tree_size} nodes > point_scalar_max="
-                f"{config.point_scalar_max} -> compiled table"
+                f"{POINT_SCALAR_MAX} -> compiled table"
             )
-    final, degrade_reasons = _degrade(chosen, workload, unavailable)
+    final, degrade_reasons = _degrade(chosen, unavailable)
     return ExecutionPlan(
         backend=final,
         workload=workload,

@@ -9,8 +9,9 @@ paper's Fig. 5 tree, for sessions and for batches.
 import numpy as np
 import pytest
 
+from repro.analysis import TreeAnalyzer
 from repro.engine import compile_tree
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.runtime import (
     BACKEND_NAMES,
     BackendRegistry,
@@ -100,11 +101,58 @@ class TestSessionEquivalence:
                 got = session.value("delay_50", node)
                 assert got == expected["delay_50"], backend
 
+    @pytest.fixture(scope="class")
+    def one_source_trees(self):
+        from repro.circuit import fig5_tree, random_tree
+
+        return {
+            "fig5": fig5_tree(),
+            "random3000": random_tree(3000, np.random.default_rng(0)),
+        }
+
+    @pytest.mark.parametrize("tree_name", ["fig5", "random3000"])
+    @pytest.mark.parametrize(
+        "source", ["compiled", "compiled-tree", "incremental", "analyzer"]
+    )
+    def test_sums_and_metrics_share_one_source(
+        self, one_source_trees, tree_name, source
+    ):
+        # Every accessor reads the same T_RC/T_LC arrays, bit for bit.
+        tree = one_source_trees[tree_name]
+        context = ExecutionContext()
+        reader = {
+            "compiled": lambda: context.session(tree, backend="compiled"),
+            "compiled-tree": lambda: context.session(
+                compile_tree(tree), backend="compiled"
+            ),
+            "incremental": lambda: context.session(tree, backend="incremental"),
+            "analyzer": lambda: TreeAnalyzer(tree),
+        }[source]()
+        for node in tree.nodes:
+            timing = reader.timing(node)
+            want = (timing.t_rc, timing.t_lc)
+            assert reader.sums(node) == want, node
+            if source == "analyzer":
+                assert reader.elmore_delay(node) == timing.elmore_delay, node
+            else:
+                got = (reader.value("t_rc", node), reader.value("t_lc", node))
+                assert got == want, node
+                assert reader.value("elmore_delay", node) == timing.elmore_delay
+        with pytest.raises(TopologyError):
+            reader.sums(tree.root)
+
     def test_scalar_needs_a_tree(self, fig5):
         with pytest.raises(ConfigurationError, match="RLCTree"):
             ExecutionContext().session(
                 compile_tree(fig5), backend="scalar"
             )
+
+    @pytest.mark.parametrize("backend", [None, "scalar", "compiled"])
+    def test_empty_tree_rejected_at_open(self, backend):
+        from repro.circuit import RLCTree
+
+        with pytest.raises(TopologyError, match="empty tree"):
+            ExecutionContext().session(RLCTree(), backend=backend)
 
     def test_timing_and_report_agree(self, fig5):
         context = ExecutionContext()

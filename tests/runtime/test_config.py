@@ -20,15 +20,14 @@ class TestValidation:
             {"shards": 0},
             {"flush_threshold": 1.5},
             {"flush_threshold": -0.1},
-            {"point_scalar_max": -1},
+            {"shard_timeout": 0.0},
             {"sharded_min_cells": -1},
             # NaN passed the old ``x < 0`` guards: a NaN backoff crashed
-            # the first retry in time.sleep, a NaN cooldown kept a
-            # tripped breaker open for good, and a NaN point_scalar_max
-            # silently routed every point query to compiled.
+            # the first retry in time.sleep and a NaN cooldown kept a
+            # tripped breaker open for good.
             {"retry_backoff": float("nan")},
             {"breaker_cooldown": float("nan")},
-            {"point_scalar_max": float("nan")},
+            {"shard_timeout": float("nan")},
             {"sharded_min_cells": float("nan")},
         ],
     )

@@ -29,13 +29,14 @@ class TestAutoRouting:
     @pytest.mark.parametrize(
         "workload, config, expected",
         [
-            # point: scalar up to and including point_scalar_max
+            # point: scalar up to and including POINT_SCALAR_MAX (64)
             (Workload("point", tree_size=1), RuntimeConfig(), "scalar"),
             (Workload("point", tree_size=64), RuntimeConfig(), "scalar"),
             (Workload("point", tree_size=65), RuntimeConfig(), "compiled"),
+            # a worker budget never shards a point query
             (
-                Workload("point", tree_size=10),
-                RuntimeConfig(point_scalar_max=9),
+                Workload("point", tree_size=1000),
+                RuntimeConfig(workers=4),
                 "compiled",
             ),
             # table: always one vectorized pass

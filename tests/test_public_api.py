@@ -36,3 +36,24 @@ def test_module_imports_and_exports_resolve(name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entries"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+def test_runtime_config_knobs_are_pinned():
+    # A new knob edits this tuple, in plain view of review.
+    from dataclasses import fields
+
+    from repro.runtime import RuntimeConfig
+
+    assert tuple(f.name for f in fields(RuntimeConfig)) == (
+        "backend",
+        "workers",
+        "shards",
+        "flush_threshold",
+        "sharded_min_cells",
+        "shard_timeout",
+        "max_retries",
+        "retry_backoff",
+        "breaker_threshold",
+        "breaker_cooldown",
+        "calibration",
+    )
