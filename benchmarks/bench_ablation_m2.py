@@ -12,8 +12,6 @@ Timed kernel: the eq. 28 path (one combined sweep) vs the exact-m2 path
 the structural benefit (pure tree sums) is what the paper is after.
 """
 
-import numpy as np
-
 from repro.analysis import (
     SecondOrderModel,
     TreeAnalyzer,

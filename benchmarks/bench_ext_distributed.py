@@ -11,8 +11,6 @@ Timed kernel: one distributed step-response evaluation (250 time points
 x 64-node Talbot contours) — the cost the closed form avoids.
 """
 
-import numpy as np
-
 from repro.analysis import TreeAnalyzer
 from repro.simulation import ExactSimulator, TransmissionLine, measures, rms_error
 

@@ -10,8 +10,6 @@ Timed kernels: 500 closed-form Monte-Carlo samples; one linearized-sigma
 evaluation (the O(n) alternative).
 """
 
-import numpy as np
-
 from repro.apps import VariationModel, linearized_sigma, sample_delays
 from repro.circuit import fig5_tree, scale_tree_to_zeta
 

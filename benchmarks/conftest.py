@@ -12,7 +12,6 @@ EXPERIMENTS.md can be regenerated with::
 import io
 import pathlib
 
-import numpy as np
 import pytest
 
 from repro.circuit import RLCTree, Section, balanced_tree

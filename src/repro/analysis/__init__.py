@@ -2,8 +2,8 @@
 
 Submodules follow the paper's structure:
 
-* :mod:`~repro.analysis.moments` — the O(n) sums of the Appendix plus an
-  exact arbitrary-order moment engine,
+* :mod:`~repro.analysis.moments` — the O(n) sums of the Appendix plus a
+  per-name view of the exact arbitrary-order moment engine,
 * :mod:`~repro.analysis.second_order` — the per-node second-order model
   (Section III),
 * :mod:`~repro.analysis.fitting` — the Fig. 6 scaled-metric fits
@@ -55,7 +55,6 @@ from .moments import (
     moment_summary,
     multiplication_count,
     second_order_sums,
-    weighted_path_sums,
 )
 from .oscillation import (
     Overshoot,
@@ -83,7 +82,6 @@ __all__ = [
     "elmore_sums",
     "inductance_sums",
     "capacitive_loads",
-    "weighted_path_sums",
     "exact_moments",
     "moment_summary",
     "MomentSummary",

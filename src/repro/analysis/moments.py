@@ -30,7 +30,9 @@ eq. 20)::
 
 which is the same weighted-path-sum shape with weights
 ``C_k * m_{j-1}(k)`` and ``C_k * m_{j-2}(k)``; each moment order is one
-more O(n) sweep. This exact engine powers the AWE baseline
+more O(n) sweep. The recursion runs in one place, the level-grouped
+kernel :meth:`repro.engine.CompiledTree.exact_moments`; this module's
+:func:`exact_moments` is its per-name view. It powers the AWE baseline
 (:mod:`repro.reduction.awe`) and the ablation that compares the paper's
 approximate second moment (eq. 28) against the exact one.
 """
@@ -45,7 +47,6 @@ from ..errors import ReductionError
 
 __all__ = [
     "capacitive_loads",
-    "weighted_path_sums",
     "second_order_sums",
     "elmore_sums",
     "inductance_sums",
@@ -72,46 +73,6 @@ def capacitive_loads(tree: RLCTree) -> Dict[str, float]:
     return loads
 
 
-def weighted_path_sums(
-    tree: RLCTree,
-    resistance_weights: Dict[str, float],
-    inductance_weights: Dict[str, float],
-) -> Dict[str, float]:
-    """Evaluate ``sum_k R_ki w_r(k) + sum_k L_ki w_l(k)`` at every node.
-
-    This is the generalized ``Cal_Summations`` kernel: given per-node
-    weights, one postorder pass accumulates subtree weight totals and one
-    preorder pass propagates the path sums down from the root. Cost is
-    O(n) with two multiplications per section.
-
-    The classic sums are the special case ``w_r = w_l = C_k``; the exact
-    moment recursion uses ``w_r(k) = C_k m_{j-1}(k)``,
-    ``w_l(k) = C_k m_{j-2}(k)``.
-    """
-    subtree_r: Dict[str, float] = {}
-    subtree_l: Dict[str, float] = {}
-    for name in tree.postorder():
-        total_r = resistance_weights.get(name, 0.0)
-        total_l = inductance_weights.get(name, 0.0)
-        for child in tree.children(name):
-            total_r += subtree_r[child]
-            total_l += subtree_l[child]
-        subtree_r[name] = total_r
-        subtree_l[name] = total_l
-
-    sums: Dict[str, float] = {}
-    for name in tree.preorder():
-        section = tree.section(name)
-        parent = tree.parent(name)
-        upstream = sums[parent] if parent != tree.root else 0.0
-        sums[name] = (
-            upstream
-            + section.resistance * subtree_r[name]
-            + section.inductance * subtree_l[name]
-        )
-    return sums
-
-
 def second_order_sums(tree: RLCTree) -> Tuple[Dict[str, float], Dict[str, float]]:
     """``(T_RC, T_LC)`` at every node in O(n) — the Appendix algorithm.
 
@@ -131,31 +92,14 @@ def second_order_sums(tree: RLCTree) -> Tuple[Dict[str, float], Dict[str, float]
     return t_rc, t_lc
 
 
-def _single_weighted_sums(tree: RLCTree, attribute: str) -> Dict[str, float]:
-    """Path sums of one element kind times the capacitive loads.
-
-    Half of ``Cal_Summations``: the loads pass plus one preorder pass
-    with a *single* multiplication per section, for callers that want
-    only ``T_RC`` or only ``T_LC`` without paying for the other.
-    """
-    loads = capacitive_loads(tree)
-    sums: Dict[str, float] = {}
-    for name in tree.preorder():
-        value = getattr(tree.section(name), attribute)
-        parent = tree.parent(name)
-        upstream = sums[parent] if parent != tree.root else 0.0
-        sums[name] = upstream + value * loads[name]
-    return sums
-
-
 def elmore_sums(tree: RLCTree) -> Dict[str, float]:
     """``T_RC`` (the Elmore time constant sum) at every node, O(n)."""
-    return _single_weighted_sums(tree, "resistance")
+    return second_order_sums(tree)[0]
 
 
 def inductance_sums(tree: RLCTree) -> Dict[str, float]:
     """``T_LC`` at every node, O(n)."""
-    return _single_weighted_sums(tree, "inductance")
+    return second_order_sums(tree)[1]
 
 
 def exact_moments(
@@ -167,40 +111,27 @@ def exact_moments(
     transfer function (eq. 11). ``m_0 = 1``; each further order is one
     O(n) weighted-path-sum sweep, so the total cost is O(n * order).
 
-    The recursion inherently spans the whole tree (every node's moment
-    feeds every ancestor's next order), but when ``nodes`` is given only
-    those nodes' histories are kept and returned.
+    The per-name view of :meth:`repro.engine.CompiledTree.exact_moments`,
+    which evaluates the recursion for every node at once (every node's
+    moment feeds every ancestor's next order); when ``nodes`` is given
+    only those nodes' histories are returned.
     """
+    # Imported here: the engine's kernels import repro.analysis at load.
+    from ..engine.compiled import compile_tree
+
     if order < 0:
         raise ReductionError("moment order must be non-negative")
+    compiled = compile_tree(tree)
+    index = compiled.topology.index
     if nodes is None:
-        selected: Tuple[str, ...] = tree.nodes
+        selected: Sequence[str] = compiled.names
     else:
         selected = tuple(nodes)
-        known = set(tree.nodes)
         for name in selected:
-            if name not in known:
+            if name not in index:
                 raise ReductionError(f"unknown node {name!r}")
-    moments: Dict[str, List[float]] = {name: [1.0] for name in selected}
-    previous: Dict[str, float] = {name: 1.0 for name in tree.nodes}
-    before_previous: Dict[str, float] = {name: 0.0 for name in tree.nodes}
-
-    for _ in range(order):
-        w_r = {
-            name: tree.section(name).capacitance * previous[name]
-            for name in tree.nodes
-        }
-        w_l = {
-            name: tree.section(name).capacitance * before_previous[name]
-            for name in tree.nodes
-        }
-        sums = weighted_path_sums(tree, w_r, w_l)
-        current = {name: -sums[name] for name in tree.nodes}
-        for name in selected:
-            moments[name].append(current[name])
-        before_previous = previous
-        previous = current
-    return moments
+    columns = compiled.exact_moments(order).T
+    return {name: columns[index[name]].tolist() for name in selected}
 
 
 @dataclass(frozen=True)

@@ -292,12 +292,9 @@ def _cmd_analyze(args) -> int:
         )
         for diagnostic in analyzer.validation.warnings():
             print(f"warning: {diagnostic}", file=sys.stderr)
-    if args.node:
-        rows = [analyzer.timing(node) for node in args.node]
-    else:
-        # Both analyzers cover the whole (possibly repaired) tree in one
-        # table pass.
-        rows = analyzer.report()
+    # Both analyzers answer the selection (default: the whole, possibly
+    # repaired, tree) in one table pass.
+    rows = analyzer.report(args.node or None)
     if args.csv:
         print("node,zeta,omega_n,delay_50,rise_time,overshoot,settling,"
               "elmore_delay")

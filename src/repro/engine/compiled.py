@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -243,11 +243,10 @@ class CompiledTopology:
         return out[:n]
 
     def descend2(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Prefix sums of two addends with the dict sweep's association.
+        """Root-to-node prefix sums of two addends per node.
 
-        Evaluates ``out[i] = (out[parent(i)] + first[i]) + second[i]``,
-        the exact floating-point grouping of
-        :func:`repro.analysis.moments.weighted_path_sums`. Both addends
+        Evaluates ``out[i] = (out[parent(i)] + first[i]) + second[i]``
+        with that floating-point grouping at every level. Both addends
         are node-major, shape ``(n, ...)``.
         """
         first = np.asarray(first, dtype=float)
@@ -425,10 +424,6 @@ class CompiledTree:
 
     # -- the Appendix sweeps, vectorized -----------------------------------
 
-    def capacitive_loads(self) -> np.ndarray:
-        """Subtree capacitance per node (``Cal_Cap_Loads``)."""
-        return self.topology.accumulate(self.capacitance)
-
     def second_order_sums(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(T_RC, T_LC)`` arrays at every node (eqs. 26-27), O(n)."""
         return self.topology.second_order_sums(
@@ -438,11 +433,13 @@ class CompiledTree:
     def weighted_path_sums(
         self, resistance_weights: np.ndarray, inductance_weights: np.ndarray
     ) -> np.ndarray:
-        """The generalized ``Cal_Summations`` kernel on arrays.
+        """Evaluate ``sum_k R_ki w_r(k) + sum_k L_ki w_l(k)`` at every node.
 
-        Mirrors :func:`repro.analysis.moments.weighted_path_sums`:
-        subtree totals of both weight sets, then one downward pass with
-        two multiplications per section.
+        The generalized ``Cal_Summations`` kernel: subtree totals of
+        both weight sets, then one downward pass with two
+        multiplications per section. The classic sums are the special
+        case ``w_r = w_l = C_k``; :meth:`exact_moments` applies it once
+        per order.
         """
         sub_r = self.topology.accumulate(resistance_weights)
         sub_l = self.topology.accumulate(inductance_weights)
@@ -453,8 +450,13 @@ class CompiledTree:
 
     def exact_moments(self, order: int) -> np.ndarray:
         """Exact moments ``m_0..m_order`` at every node, shape
-        ``(order + 1, n)`` — the vectorized twin of
-        :func:`repro.analysis.moments.exact_moments`."""
+        ``(order + 1, n)``.
+
+        ``m_0 = 1`` and ``m_j = -(weighted path sums with w_r = C m_{j-1},
+        w_l = C m_{j-2})`` (the recursion in :mod:`repro.analysis.moments`),
+        one O(n) sweep per order. The only exact-moment engine:
+        :func:`repro.analysis.exact_moments` is its per-name view.
+        """
         if order < 0:
             raise ReductionError("moment order must be non-negative")
         n = self.size

@@ -6,9 +6,11 @@ moments of a node's transfer function with a q-pole Pade model
 raising ``q`` — at the price of the numerical and stability issues the
 paper cites as the reason the Elmore-style closed forms stay in use.
 
-Moments come from the O(n)-per-order exact engine in
-:mod:`repro.analysis.moments`, so AWE here is exactly the "RICE-style"
-flow: tree -> moments -> Pade -> poles/residues -> waveform/metrics.
+Moments come from the O(n)-per-order exact engine on the compiled
+topology (:meth:`repro.engine.CompiledTree.exact_moments`, the recursion
+of :mod:`repro.analysis.moments`), so AWE here is exactly the
+"RICE-style" flow: tree -> moments -> Pade -> poles/residues ->
+waveform/metrics.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.moments import exact_moments
 from ..circuit.tree import RLCTree
+from ..engine.compiled import compile_tree
 from ..errors import ReductionError
 from ..simulation import measures
 from .pade import PoleResidueModel, pade_poles_residues
@@ -41,9 +43,11 @@ def awe_model(
     ``min_stable_ratio`` rejects reductions whose Pade table is mostly
     unstable (see :func:`~repro.reduction.pade.pade_poles_residues`).
     """
-    if node not in tree:
+    compiled = compile_tree(tree)
+    slot = compiled.topology.index.get(node)
+    if slot is None:
         raise ReductionError(f"unknown node {node!r}")
-    moments = exact_moments(tree, 2 * order - 1)[node]
+    moments = compiled.exact_moments(2 * order - 1)[:, slot].tolist()
     return pade_poles_residues(
         moments, order, stable_only=stable_only,
         min_stable_ratio=min_stable_ratio,

@@ -52,7 +52,7 @@ from ..errors import (
 from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
 from ..simulation import measures
 from ..simulation.state_space import ensure_positive_capacitance
-from .health import characteristic_scales, eigensystem_probes, rescale_tree
+from .health import characteristic_scales, rescale_tree
 from .validate import RepairPolicy, sanitize
 
 __all__ = [
@@ -166,12 +166,12 @@ def _finite_row(m, i: int) -> bool:
     """True when the table answers all four guarded metrics at row ``i``.
 
     The same finiteness test a single query's closed-form tier applies;
-    a row that fails it (any metric non-finite) walks the chain. An
-    incremental session's table also tabulates sums outside the closed
-    forms' domain, which that tier rejects with a typed error; on a
-    validated tree (no negative elements) those are overflowed sums or
-    ``T_RC = 0 < T_LC``, whose settling time is infinite, so they fail
-    this test and walk the chain too.
+    a row that fails it (any metric non-finite) walks the chain. A
+    session routed to the incremental backend tabulates sums outside
+    the closed forms' domain too, which that tier rejects with a typed
+    error; on a validated tree (no negative elements) those are
+    overflowed sums or ``T_RC = 0 < T_LC``, whose settling time is
+    infinite, so they fail this test and walk the chain too.
     """
     return (
         math.isfinite(m.delay_50[i])
@@ -243,19 +243,10 @@ class GuardedAnalyzer:
     max_rescale_retries:
         Bound on unit-rescaling retries in the exact tier (0 disables
         rescaling entirely).
-    closed_form_backend:
-        What answers the ``closed-form`` tier: ``None`` or
-        ``"incremental"``. ``None`` (default) opens a runtime session on
-        the sanitized tree, so the tier rides whatever backend the
-        execution planner picks (the engine table, or the scalar sweep
-        for a tree outside the closed forms' domain). ``"incremental"``
-        opens an edit-stream session instead, whose live
-        :class:`~repro.engine.incremental.IncrementalAnalyzer` —
-        exposed as :attr:`closed_form_backend` — edit-heavy callers can
-        mutate between queries while keeping the full fallback chain
-        (AWE, exact simulation) behind the delta-updated closed forms.
     config / context:
-        Runtime routing for the closed-form tier: an explicit
+        Runtime routing for the closed-form tier, which reads a runtime
+        session opened on the sanitized tree (the engine table, or the
+        scalar sweep for a tree outside the closed forms' domain): an explicit
         :class:`~repro.runtime.ExecutionContext` wins, a bare
         :class:`~repro.runtime.RuntimeConfig` gets its own context,
         neither means the process default
@@ -280,7 +271,6 @@ class GuardedAnalyzer:
         policy: Optional[RepairPolicy] = None,
         awe_order: int = 3,
         max_rescale_retries: int = 1,
-        closed_form_backend: Optional[str] = None,
         config: Optional[RuntimeConfig] = None,
         context: Optional[ExecutionContext] = None,
     ):
@@ -308,24 +298,10 @@ class GuardedAnalyzer:
         self.validation.raise_if_errors()
 
         self._runtime = resolve_context(context, config)
-        if closed_form_backend == "incremental":
-            self._session = self._runtime.session(
-                self._tree, settle_band, backend="incremental", kind="edit"
-            )
-            self._closed_form_backend = self._session.editor()
-        elif closed_form_backend is None:
-            self._session = self._runtime.session(self._tree, settle_band)
-            self._closed_form_backend = None
-        else:
-            raise ConfigurationError(
-                "closed_form_backend must be None or 'incremental', got "
-                f"{closed_form_backend!r}"
-            )
+        self._session = self._runtime.session(self._tree, settle_band)
         # Whether the first tier may be answered from the session's
         # table; cleared for good once the session turns out to have none.
-        self._table_backed = (
-            chain[0] == "closed-form" and closed_form_backend is None
-        )
+        self._table_backed = chain[0] == "closed-form"
         # Exact-tier simulators, one per rescaling attempt, built lazily:
         # attempt index -> (simulator, helper analyzer, time scale).
         self._exact_cache: Dict[int, Tuple[object, TreeAnalyzer, float]] = {}
@@ -340,17 +316,6 @@ class GuardedAnalyzer:
     @property
     def chain(self) -> Tuple[str, ...]:
         return self._chain
-
-    @property
-    def closed_form_backend(self):
-        """The closed-form tier's backend, or ``None`` for the default.
-
-        With ``closed_form_backend="incremental"`` this is the live
-        :class:`~repro.engine.incremental.IncrementalAnalyzer`: edit
-        element values through it and subsequent guarded queries see
-        the updated tree at delta-update cost.
-        """
-        return self._closed_form_backend
 
     def query(self, metric: str, node: str) -> RobustnessReport:
         """Resolve one metric through the fallback chain.
@@ -394,37 +359,50 @@ class GuardedAnalyzer:
 
     def timing(self, node: str) -> GuardedTiming:
         """All metrics for one node, each resolved through the chain."""
-        table = self._closed_form_table()
-        if table is None:
-            return self._chain_timing(node)
-        self._check_node(node)
-        m = table.metrics
-        i = table.index(node)
-        return self._table_rows([(
-            node,
-            _finite_row(m, i),
-            float(m.t_rc[i]),
-            float(m.t_lc[i]),
-            float(m.zeta[i]),
-            float(m.omega_n[i]),
-            float(m.delay_50[i]),
-            float(m.rise_time[i]),
-            float(m.overshoot[i]),
-            float(m.settling[i]),
-        )])[0]
+        return self.report((node,))[0]
 
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[GuardedTiming]:
         """Per-node guarded metrics for ``nodes`` (default: every node).
 
-        With the closed-form table available the whole tree costs one
+        With the closed-form table available any selection costs one
         table read: every node whose four metrics are finite is answered
-        from it, and only the rest walk the fallback chain.
+        from it, and only the rest walk the fallback chain. Raises
+        :class:`~repro.errors.TopologyError` for an unknown node or the
+        root before any node walks the chain.
         """
-        table = None if nodes is not None else self._closed_form_table()
+        table = self._closed_form_table()
         if table is None:
-            selected = self._tree.nodes if nodes is None else list(nodes)
-            return [self.timing(node) for node in selected]
+            selected = self._tree.nodes if nodes is None else nodes
+            return [self._chain_timing(node) for node in selected]
         m = table.metrics
+        if nodes is not None:
+            # Scalar reads per row: timing() passes one node, and
+            # fancy-indexing ten columns per call triples a per-node loop.
+            isfinite = math.isfinite
+            rows = []
+            for node in nodes:
+                self._check_node(node)
+                i = table.index(node)
+                delay = float(m.delay_50[i])
+                rise = float(m.rise_time[i])
+                over = float(m.overshoot[i])
+                settle = float(m.settling[i])
+                rows.append((
+                    node,
+                    # _finite_row on the floats already read: this loop is
+                    # timing()'s body, so each saved array index counts.
+                    isfinite(delay) and isfinite(rise)
+                    and isfinite(over) and isfinite(settle),
+                    float(m.t_rc[i]),
+                    float(m.t_lc[i]),
+                    float(m.zeta[i]),
+                    float(m.omega_n[i]),
+                    delay,
+                    rise,
+                    over,
+                    settle,
+                ))
+            return self._table_rows(rows)
         finite = (
             np.isfinite(m.delay_50)
             & np.isfinite(m.rise_time)
@@ -450,9 +428,8 @@ class GuardedAnalyzer:
         """The session's full metric table when it answers the first tier.
 
         ``None`` — so every query walks the chain as a single query
-        would — when the chain does not open with ``closed-form``, the
-        ``"incremental"`` backend answers that tier, or the session has
-        no table (scalar backend, ineligible tree).
+        would — when the chain does not open with ``closed-form`` or the
+        session has no table (scalar backend, ineligible tree).
         """
         if not self._table_backed:
             return None
@@ -551,8 +528,7 @@ class GuardedAnalyzer:
         """:meth:`timing` without a closed-form table: one walk per metric."""
         reports = tuple(self.query(metric, node) for metric in _METRICS)
         values = {r.metric: r.value for r in reports}
-        # The session is the one source of the sums and damping; an
-        # "incremental" session's state is the live editor, so edits show.
+        # The session is the one source of the sums and damping.
         t_rc, t_lc = self._session.sums(node)
         return GuardedTiming(
             node=node,
@@ -574,11 +550,8 @@ class GuardedAnalyzer:
     ) -> Tuple[float, bool, str]:
         # The session's state reads the engine table when the tree is
         # eligible and the scalar analyzer otherwise, whose typed errors
-        # feed the tier chain; "incremental" reads the live editor.
-        detail = (
-            "" if self._closed_form_backend is None else "delta-update backend"
-        )
-        return float(self._session.value(metric, node)), False, detail
+        # feed the tier chain.
+        return float(self._session.value(metric, node)), False, ""
 
     def _tier_awe(self, metric: str, node: str) -> Tuple[float, bool, str]:
         from ..reduction.awe import awe_step_metrics

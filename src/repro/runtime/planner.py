@@ -236,13 +236,13 @@ def plan(
         if workload.tree_size <= POINT_SCALAR_MAX:
             chosen = "scalar"
             reasons.append(
-                f"{workload.tree_size} nodes <= point_scalar_max="
+                f"{workload.tree_size} nodes <= POINT_SCALAR_MAX="
                 f"{POINT_SCALAR_MAX} -> dict sweep"
             )
         else:
             chosen = "compiled"
             reasons.append(
-                f"{workload.tree_size} nodes > point_scalar_max="
+                f"{workload.tree_size} nodes > POINT_SCALAR_MAX="
                 f"{POINT_SCALAR_MAX} -> compiled table"
             )
     final, degrade_reasons = _degrade(chosen, unavailable)

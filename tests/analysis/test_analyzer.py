@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import TreeAnalyzer, elmore_sums
-from repro.circuit import fig5_tree, scale_tree_to_zeta, single_line
+from repro.circuit import scale_tree_to_zeta, single_line
 from repro.errors import ConfigurationError, ElementValueError, TopologyError
 from repro.circuit import RLCTree, Section
 

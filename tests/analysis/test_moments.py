@@ -12,15 +12,15 @@ from repro.analysis import (
     moment_summary,
     multiplication_count,
     second_order_sums,
-    weighted_path_sums,
 )
-from repro.circuit import fig5_tree, random_tree, single_line
+from repro.circuit import random_tree, single_line
 from repro.circuit.paths import (
     all_elmore_inductance_sums,
     all_elmore_resistance_sums,
 )
 from repro.errors import ReductionError
 from repro.simulation import ExactSimulator
+from tests.conftest import weighted_path_sums
 
 
 class TestCapacitiveLoads:

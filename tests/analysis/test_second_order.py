@@ -1,6 +1,5 @@
 """Unit tests for the SecondOrderModel closed forms."""
 
-import cmath
 import math
 
 import numpy as np

@@ -14,7 +14,7 @@ from repro.analysis import (
     scaled_rise,
     scaled_rise_derivative,
 )
-from repro.circuit import Section, fig5_tree, fig8_tree, random_tree
+from repro.circuit import Section, random_tree
 from repro.errors import ConfigurationError, TopologyError
 
 

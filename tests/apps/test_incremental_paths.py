@@ -21,7 +21,7 @@ from repro.apps import (
     perturbed_clock_tree,
     tune_clock_tree,
 )
-from repro.circuit import RLCTree, Section, random_tree, single_line
+from repro.circuit import random_tree, single_line
 from repro.engine import compile_tree
 from repro.runtime import RuntimeConfig
 

@@ -12,7 +12,6 @@ from repro.circuit import (
     balanced_tree,
     distributed_line,
     fig5_tree,
-    fig8_tree,
     ladder,
     random_tree,
     scale_tree_to_zeta,

@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.circuit import (
-    InductanceWindow,
-    WireGeometry,
-    extract_line,
-    inductance_window,
-)
+from repro.circuit import WireGeometry, extract_line, inductance_window
 from repro.errors import ElementValueError
 
 

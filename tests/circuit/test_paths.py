@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import fig5_tree, single_line
+from repro.circuit import single_line
 from repro.circuit.paths import (
     all_elmore_inductance_sums,
     all_elmore_resistance_sums,

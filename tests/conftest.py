@@ -73,3 +73,69 @@ def star_tree(fan_out: int) -> RLCTree:
     for leaf in range(fan_out):
         tree.add_section(f"l{leaf}", "hub", 5.0, 0.5e-9, 0.02e-12)
     return tree
+
+
+# -- the dict moment oracle -------------------------------------------------
+#
+# A name-keyed, one-node-at-a-time evaluation of the weighted path sums
+# and the exact moment recursion, kept independent of the level-grouped
+# kernel in ``repro.engine.compiled`` so the two can be compared.
+
+
+def weighted_path_sums(tree, resistance_weights, inductance_weights):
+    """``sum_k R_ki w_r(k) + sum_k L_ki w_l(k)`` at every node, by dict.
+
+    One postorder pass accumulates subtree weight totals and one
+    preorder pass propagates the path sums down from the root. The
+    classic sums are the special case ``w_r = w_l = C_k``; the moment
+    recursion uses ``w_r(k) = C_k m_{j-1}(k)``, ``w_l(k) = C_k m_{j-2}(k)``.
+    """
+    subtree_r = {}
+    subtree_l = {}
+    for name in tree.postorder():
+        total_r = resistance_weights.get(name, 0.0)
+        total_l = inductance_weights.get(name, 0.0)
+        for child in tree.children(name):
+            total_r += subtree_r[child]
+            total_l += subtree_l[child]
+        subtree_r[name] = total_r
+        subtree_l[name] = total_l
+
+    sums = {}
+    for name in tree.preorder():
+        section = tree.section(name)
+        parent = tree.parent(name)
+        upstream = sums[parent] if parent != tree.root else 0.0
+        sums[name] = (
+            upstream
+            + section.resistance * subtree_r[name]
+            + section.inductance * subtree_l[name]
+        )
+    return sums
+
+
+def dict_exact_moments(tree, order):
+    """Exact moments ``m_0 .. m_order`` per node name, by dict recursion.
+
+    ``m_j(i) = -sum_k [R_ki C_k m_{j-1}(k) + L_ki C_k m_{j-2}(k)]``, one
+    :func:`weighted_path_sums` sweep per order.
+    """
+    moments = {name: [1.0] for name in tree.nodes}
+    previous = {name: 1.0 for name in tree.nodes}
+    before_previous = {name: 0.0 for name in tree.nodes}
+    for _ in range(order):
+        w_r = {
+            name: tree.section(name).capacitance * previous[name]
+            for name in tree.nodes
+        }
+        w_l = {
+            name: tree.section(name).capacitance * before_previous[name]
+            for name in tree.nodes
+        }
+        sums = weighted_path_sums(tree, w_r, w_l)
+        current = {name: -sums[name] for name in tree.nodes}
+        for name in tree.nodes:
+            moments[name].append(current[name])
+        before_previous = previous
+        previous = current
+    return moments

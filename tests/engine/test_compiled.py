@@ -3,22 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.analysis.moments import (
-    capacitive_loads,
-    exact_moments,
-    second_order_sums,
-    weighted_path_sums,
-)
-from repro.circuit import RLCTree, Section, fig5_tree, random_tree
+from repro.analysis.moments import capacitive_loads, second_order_sums
+from repro.circuit import RLCTree, Section
 from repro.engine import (
-    CompiledTopology,
-    CompiledTree,
     clear_topology_cache,
     compile_tree,
     topology_cache_info,
     topology_fingerprint,
 )
 from repro.errors import ReductionError, TopologyError
+
+from ..conftest import dict_exact_moments, weighted_path_sums
 
 
 @pytest.fixture(autouse=True)
@@ -70,7 +65,9 @@ class TestSweepsMatchDicts:
         for tree in (fig5, random_rlc):
             compiled = compile_tree(tree)
             expected = capacitive_loads(tree)
-            got = as_dict(compiled, compiled.capacitive_loads())
+            got = as_dict(
+                compiled, compiled.topology.accumulate(compiled.capacitance)
+            )
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_second_order_sums(self, fig5, random_rlc, rc_line):
@@ -96,7 +93,7 @@ class TestSweepsMatchDicts:
     def test_exact_moments(self, fig5, random_rlc):
         for tree in (fig5, random_rlc):
             compiled = compile_tree(tree)
-            expected = exact_moments(tree, 4)
+            expected = dict_exact_moments(tree, 4)
             got = compiled.exact_moments(4)
             assert got.shape == (5, tree.size)
             for i, name in enumerate(compiled.names):
@@ -305,7 +302,7 @@ class TestAccumulatePrecision:
                          capacitance=1e-16)
         compiled = compile_tree(tree, cache=False)
         expected = capacitive_loads(tree)
-        got = compiled.capacitive_loads()
+        got = compiled.topology.accumulate(compiled.capacitance)
         for i, name in enumerate(compiled.names):
             assert float(got[i]) == pytest.approx(
                 expected[name], rel=1e-14, abs=0.0

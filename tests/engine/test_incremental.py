@@ -17,7 +17,6 @@ import pytest
 from repro.apps.buffer_insertion import wire_segment_delay
 from repro.circuit import RLCTree, Section, fig5_tree, random_tree
 from repro.engine import (
-    CompiledTree,
     EditSession,
     IncrementalAnalyzer,
     cache_info,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import TreeAnalyzer
-from repro.circuit import fig5_tree, single_line
+from repro.circuit import single_line
 from repro.engine import (
     clear_topology_cache,
     compile_tree,

@@ -8,22 +8,8 @@ conventions and math all line up end to end.
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    SecondOrderModel,
-    TreeAnalyzer,
-    exact_moments,
-    second_order_sums,
-)
-from repro.circuit import (
-    balanced_to_ladder,
-    balanced_tree,
-    dumps,
-    fig8_tree,
-    loads,
-    random_tree,
-    scale_tree_to_zeta,
-    fig5_tree,
-)
+from repro.analysis import SecondOrderModel, TreeAnalyzer, exact_moments
+from repro.circuit import balanced_to_ladder, balanced_tree, dumps, loads, random_tree
 from repro.reduction import arnoldi_model, awe_model, kahng_muddu_model
 from repro.simulation import (
     ExactSimulator,

@@ -7,9 +7,6 @@ the paper's element values did not fully survive its scan, so our trees
 match the *regimes*, not the exact instances.
 """
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.analysis import TreeAnalyzer

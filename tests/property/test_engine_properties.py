@@ -10,8 +10,6 @@ the sequential dict loop, but only at the few-ulp level.
 
 import math
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -6,8 +6,6 @@ and unit DC gain of the distributed line, gradient consistency, and
 structural tree invariants.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings

@@ -10,7 +10,6 @@ arbitrary topologies.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import RLCTree, Section
+from repro.circuit import Section
 from repro.circuit.builders import (
     asymmetric_tree,
     balanced_tree,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit import balanced_tree, fig8_tree, scale_tree_to_zeta, fig5_tree
+from repro.circuit import balanced_tree, scale_tree_to_zeta
 from repro.errors import ReductionError
 from repro.reduction import awe_delay_50, awe_model, awe_step_metrics
 from repro.simulation import ExactSimulator, measure

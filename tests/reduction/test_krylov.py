@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit import balanced_tree, fig5_tree
+from repro.circuit import balanced_tree
 from repro.errors import ReductionError
 from repro.reduction import arnoldi_model
 from repro.simulation import ExactSimulator

@@ -11,7 +11,6 @@ Run standalone with ``pytest -m robustness``.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError, ValidationError

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import GuardedAnalyzer, TreeAnalyzer
-from repro.circuit import RLCTree, fig5_tree, single_line
+from repro.circuit import RLCTree, single_line
 from repro.errors import (
     ConfigurationError,
     FallbackExhaustedError,

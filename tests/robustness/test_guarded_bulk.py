@@ -13,7 +13,7 @@ import pytest
 
 from repro import GuardedAnalyzer
 from repro.circuit import RLCTree, fig5_tree, random_tree
-from repro.errors import FallbackExhaustedError
+from repro.errors import FallbackExhaustedError, TopologyError
 from repro.robustness.guarded import RobustnessReport, TierAttempt
 from repro.runtime import ExecutionContext, RuntimeConfig
 
@@ -109,6 +109,36 @@ class TestBulkEqualsPerNode:
             assert tuple(
                 guarded.query(metric, row.node) for metric in METRICS
             ) == row.reports
+
+    def test_subset_report_equals_the_whole_report_rows(self, ctx):
+        # Shuffled, with a repeat and an escalated (poisoned) row.
+        tree = TREES["random1"]
+        guarded = GuardedAnalyzer(tree, context=ctx)
+        rng = np.random.default_rng(11)
+        poisoned = tree.nodes[7]
+        poison(guarded, "delay_50", poisoned)
+        others = [n for n in tree.nodes if n != poisoned]
+        subset = [str(n) for n in rng.choice(others, 10, replace=False)]
+        subset += [poisoned, subset[0]]
+        rng.shuffle(subset)
+        whole = {row.node: row for row in guarded.report()}
+        rows = guarded.report(subset)
+        expected = [whole[node] for node in subset]
+        assert [bits(r) for r in rows] == [bits(r) for r in expected]
+        assert [type(r) for r in rows] == [type(r) for r in expected]
+        assert [r.reports for r in rows] == [r.reports for r in expected]
+        assert rows[subset.index(poisoned)].degraded
+
+    def test_one_dispatch_per_subset_report(self, ctx):
+        tree = TREES["random1"]
+        guarded = GuardedAnalyzer(tree, context=ctx)
+        subset = [tree.nodes[40], tree.nodes[3], tree.nodes[40]]
+        before = sum(ctx.stats()["dispatch"].values())
+        assert [r.node for r in guarded.report(subset)] == subset
+        assert sum(ctx.stats()["dispatch"].values()) == before + 1
+        for bad in ("zzz", tree.root):
+            with pytest.raises(TopologyError):
+                guarded.report([tree.nodes[0], bad])
 
     def test_unmasked_reports_share_one_attempts_tuple(self, ctx):
         rows = GuardedAnalyzer(fig5_tree(), context=ctx).report()
@@ -240,9 +270,8 @@ class TestFallbackCasesWalkPerQuery:
 
     @pytest.mark.parametrize("options", [
         {"config": RuntimeConfig(backend="scalar")},
-        {"closed_form_backend": "incremental"},
         {"chain": ("awe", "exact")},
-    ], ids=["scalar", "incremental", "no-closed-form"])
+    ], ids=["scalar", "no-closed-form"])
     def test_fallback_walks_every_query(self, walks, options):
         tree = fig5_tree()
         guarded = GuardedAnalyzer(tree, **options)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.circuit import RLCTree, Section, fig5_tree, single_line
+from repro.circuit import RLCTree, single_line
 from repro.errors import ConfigurationError, ValidationError
 from repro.robustness import (
     Diagnostic,

@@ -36,7 +36,7 @@ class TestSessions:
 
     def test_plan_provenance_reaches_caller(self, fig5):
         session = ExecutionContext().session(fig5, kind="point")
-        assert "point_scalar_max" in session.plan.reasons[0]
+        assert "POINT_SCALAR_MAX" in session.plan.reasons[0]
 
 
 class TestStats:

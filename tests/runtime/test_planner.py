@@ -97,7 +97,7 @@ class TestAutoRouting:
 
     def test_reasons_are_human_readable(self):
         decision = plan(Workload("point", tree_size=65))
-        assert "point_scalar_max" in decision.reasons[0]
+        assert "POINT_SCALAR_MAX" in decision.reasons[0]
         assert "65" in decision.reasons[0]
         assert "point -> compiled [auto]" in str(decision)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit import fig5_tree, scale_tree_to_zeta, single_line
+from repro.circuit import scale_tree_to_zeta, single_line
 from repro.errors import SimulationError
 from repro.simulation import (
     ExactSimulator,

@@ -71,6 +71,41 @@ class TestAnalyze:
         ]
         assert out == "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("mode", [["--unguarded"], []])
+    def test_node_rows_are_one_report_call(
+        self, netlist_path, capsys, monkeypatch, mode
+    ):
+        # --node prints the matching full-CSV lines in the requested
+        # order (repeats included) from a single report() call.
+        from repro.robustness import GuardedAnalyzer
+        from repro.runtime import Session
+
+        assert main(["analyze", netlist_path, "--csv", *mode]) == 0
+        full = capsys.readouterr().out.splitlines()
+        by_node = {line.split(",")[0]: line for line in full[1:]}
+        calls = []
+        for cls in (GuardedAnalyzer, Session):
+            original = cls.report
+
+            def counting(self, nodes=None, _original=original):
+                calls.append(nodes)
+                return _original(self, nodes)
+
+            monkeypatch.setattr(cls, "report", counting)
+        a, b = fig8_tree().nodes[-1], fig8_tree().nodes[0]
+        argv = ["analyze", netlist_path, "--csv", *mode,
+                "--node", a, "--node", b, "--node", a]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [full[0], by_node[a], by_node[b], by_node[a]]
+        assert calls == [[a, b, a]]
+
+    @pytest.mark.parametrize("mode", [["--unguarded"], []])
+    def test_unknown_node_is_an_error(self, netlist_path, capsys, mode):
+        code = main(["analyze", netlist_path, *mode, "--node", "zzz"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown node 'zzz'\n"
+
     @pytest.mark.parametrize("backend", ["scalar", "compiled", "incremental"])
     def test_unguarded_out_of_domain_net_is_an_error(
         self, tmp_path, capsys, backend

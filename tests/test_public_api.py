@@ -57,3 +57,23 @@ def test_runtime_config_knobs_are_pinned():
         "breaker_cooldown",
         "calibration",
     )
+
+
+def test_guarded_analyzer_knobs_are_pinned():
+    # A new knob edits this tuple, in plain view of review.
+    import inspect
+
+    from repro import GuardedAnalyzer
+
+    params = tuple(inspect.signature(GuardedAnalyzer.__init__).parameters)
+    assert params == (
+        "self",
+        "tree",
+        "settle_band",
+        "chain",
+        "policy",
+        "awe_order",
+        "max_rescale_retries",
+        "config",
+        "context",
+    )
