@@ -46,8 +46,9 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 import numpy as np
 
@@ -73,6 +74,8 @@ from repro.runtime import (
     run_calibration,
     save_calibration,
 )
+
+from tests.conftest import dict_second_order_sums, scalar_report, scalar_timing
 
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
 RESULT_SHARDED_PATH = REPO_ROOT / "BENCH_sharded.json"
@@ -141,7 +144,9 @@ def bench_full_tree(chains: int, depth: int, repeats: int = 3) -> dict:
     clear_topology_cache()
 
     def scalar():
-        TreeAnalyzer(tree, use_engine=False).report()
+        # The per-node dict sweep + scalar closed forms, kept as the test
+        # oracle (the pre-engine TreeAnalyzer code path).
+        scalar_report(tree)
 
     def engine():
         # The engine's native full-tree report: every metric at every
@@ -192,8 +197,8 @@ def bench_variation(scenarios: int, chains: int, depth: int,
                 return Section(row[0, i], row[1, i], row[2, i])
 
             perturbed = tree.map_sections(rebuild)
-            analyzer = TreeAnalyzer(perturbed, use_engine=False)
-            out[s] = analyzer.delay_50(sink)
+            t_rc, t_lc = dict_second_order_sums(perturbed)
+            out[s] = scalar_timing(sink, t_rc[sink], t_lc[sink]).delay_50
         return out
 
     def engine():

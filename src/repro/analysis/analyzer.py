@@ -17,33 +17,29 @@ practical — which is the paper's reason for existing. Nodes without
 inductance on their weighted path (``T_LC = 0``) are handled through the
 RC Elmore limit and report ``zeta = inf``.
 
-Metric queries are backed by the compiled vectorized engine
-(:mod:`repro.engine`) whenever every node lies inside the closed forms'
-domain: the tree is flattened to arrays once (topology cached across
-value-perturbed copies) and all per-node metrics are evaluated as array
-kernels, which is 10-100x faster than per-node scalar evaluation for
-full-tree reports. Trees outside that domain — corrupted values,
-``T_RC <= 0`` where a model is required — fall back to the scalar path
-so its typed errors surface unchanged; pass ``use_engine=False`` to
-force the scalar path (see ``docs/PERFORMANCE.md``).
+Every metric query reads one table: the compiled vectorized engine
+(:mod:`repro.engine`) flattens the tree to arrays once (topology cached
+across value-perturbed copies), runs both Appendix sums and evaluates
+every per-node metric as array kernels on first use. A node outside
+the closed forms' domain (corrupted values, ``T_RC <= 0`` where a
+model is required) is a non-finite row of that table, and reading it
+raises :class:`~repro.errors.ElementValueError`; every other node
+still answers. See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuit.tree import RLCTree
 from ..errors import ConfigurationError, ElementValueError, TopologyError
 from ..simulation.sources import Source
-from .delay import elmore_delay, wyatt_rise_time
-from .fitting import scaled_delay, scaled_rise
-from .moments import second_order_sums
-from .oscillation import overshoot_train, settling_time
+from .delay import elmore_delay
+from .oscillation import overshoot_train
 from .response import model_response
 from .second_order import SecondOrderModel
 
@@ -83,9 +79,7 @@ class NodeTiming:
 class TreeAnalyzer:
     """Closed-form timing of every node of one RLC tree."""
 
-    def __init__(
-        self, tree: RLCTree, settle_band: float = 0.1, *, use_engine: bool = True
-    ):
+    def __init__(self, tree: RLCTree, settle_band: float = 0.1):
         if tree.size == 0:
             raise TopologyError("cannot analyze an empty tree")
         if not 0.0 < settle_band < 1.0:
@@ -93,71 +87,43 @@ class TreeAnalyzer:
             raise ConfigurationError("settle_band must be in (0, 1)")
         self._tree = tree
         self._settle_band = settle_band
-        self._use_engine = use_engine
 
     @property
     def tree(self) -> RLCTree:
         return self._tree
 
     @cached_property
-    def _sums(self) -> Tuple[Dict[str, float], Dict[str, float]]:
-        return second_order_sums(self._tree)
-
-    @cached_property
     def _table(self):
-        """The engine's full-tree metric table, or ``None``.
-
-        ``None`` either by request (``use_engine=False``) or because
-        some node falls outside the closed forms' domain, in which case
-        the scalar path runs and raises its usual typed errors.
-        """
-        if not self._use_engine:
-            return None
+        # Imported here: the engine's kernels import repro.analysis at load.
         from ..engine import timing_table
 
         return timing_table(self._tree, settle_band=self._settle_band)
 
     def timing_table(self):
-        """The vectorized metric table backing the fast path, if engaged.
+        """The :class:`~repro.engine.TimingTable` behind every accessor.
 
-        Returns the :class:`~repro.engine.TimingTable` with every metric
-        at every node as arrays, or ``None`` when the fast path cannot
-        engage (engine disabled, or the tree needs the scalar path's
-        error handling). Metric values read from the table and from the
-        per-node accessors are identical.
+        Every metric at every node as arrays, built once on first use;
+        out-of-domain nodes are non-finite rows. Values read from the
+        table and from the per-node accessors are identical.
         """
         return self._table
 
     # -- per-node primitives ---------------------------------------------------
 
     def sums(self, node: str) -> Tuple[float, float]:
-        """``(T_RC, T_LC)`` at ``node``, from the table when it is engaged."""
-        if self._table is not None:
-            i = self._table.index(node)
-            m = self._table.metrics
-            return float(m.t_rc[i]), float(m.t_lc[i])
-        t_rc, t_lc = self._sums
-        if node not in t_rc:
-            raise TopologyError(f"unknown node {node!r}")
-        return t_rc[node], t_lc[node]
+        """``(T_RC, T_LC)`` at ``node``; defined at every node."""
+        table = self._table
+        i = table.index(node)
+        m = table.metrics
+        return float(m.t_rc[i]), float(m.t_lc[i])
 
     def zeta(self, node: str) -> float:
         """Equivalent damping factor (eq. 30); inf at RC-limit nodes."""
-        if self._table is not None:
-            return self._table.value("zeta", node)
-        t_rc, t_lc = self.sums(node)
-        if t_lc == 0.0:
-            return math.inf
-        return 0.5 * t_rc / math.sqrt(t_lc)
+        return self._table.value("zeta", node)
 
     def omega_n(self, node: str) -> float:
         """Equivalent natural frequency (eq. 29); inf at RC-limit nodes."""
-        if self._table is not None:
-            return self._table.value("omega_n", node)
-        _, t_lc = self.sums(node)
-        if t_lc == 0.0:
-            return math.inf
-        return 1.0 / math.sqrt(t_lc)
+        return self._table.value("omega_n", node)
 
     def model(self, node: str) -> Optional[SecondOrderModel]:
         """The node's second-order model, or ``None`` in the RC limit."""
@@ -170,23 +136,11 @@ class TreeAnalyzer:
 
     def delay_50(self, node: str) -> float:
         """Eq. 35 at ``node`` (RC limit: Elmore/Wyatt delay)."""
-        if self._table is not None:
-            return self._table.value("delay_50", node)
-        t_rc, t_lc = self.sums(node)
-        if t_lc == 0.0:
-            return elmore_delay(t_rc)
-        model = SecondOrderModel.from_sums(t_rc, t_lc)
-        return scaled_delay(model.zeta) / model.omega_n
+        return self._table.value("delay_50", node)
 
     def rise_time(self, node: str) -> float:
         """Eq. 36 at ``node`` (RC limit: single-pole rise time)."""
-        if self._table is not None:
-            return self._table.value("rise_time", node)
-        t_rc, t_lc = self.sums(node)
-        if t_lc == 0.0:
-            return wyatt_rise_time(t_rc)
-        model = SecondOrderModel.from_sums(t_rc, t_lc)
-        return scaled_rise(model.zeta) / model.omega_n
+        return self._table.value("rise_time", node)
 
     def elmore_delay(self, node: str) -> float:
         """The RC Elmore (Wyatt) delay, ignoring all inductance."""
@@ -195,13 +149,7 @@ class TreeAnalyzer:
 
     def overshoot(self, node: str) -> float:
         """First-overshoot fraction ``Lambda_1`` (eq. 39); 0 if monotone."""
-        if self._table is not None:
-            return self._table.value("overshoot", node)
-        model = self.model(node)
-        if model is None or model.zeta >= 1.0:
-            return 0.0
-        train = overshoot_train(model, max_count=1)
-        return train[0].fraction if train else 0.0
+        return self._table.value("overshoot", node)
 
     def overshoots(self, node: str, threshold: float = 1e-4):
         """Full ringing train at ``node`` (empty for monotone nodes)."""
@@ -212,72 +160,19 @@ class TreeAnalyzer:
 
     def settling_time(self, node: str) -> float:
         """Eq. 42 at ``node`` (monotone nodes: dominant-pole band entry)."""
-        if self._table is not None:
-            return self._table.value("settling", node)
-        model = self.model(node)
-        if model is None:
-            t_rc, _ = self.sums(node)
-            return -math.log(self._settle_band) * t_rc
-        return settling_time(model, self._settle_band)
+        return self._table.value("settling", node)
 
     def timing(self, node: str) -> NodeTiming:
         """All metrics for one node in one object."""
-        if self._table is not None:
-            return self._table.timing(node)
-        return self._scalar_timing(node)
-
-    def _scalar_timing(self, node: str) -> NodeTiming:
-        # The model is built exactly once and threaded through every
-        # metric, instead of letting each accessor rebuild it.
-        t_rc, t_lc = self.sums(node)
-        band = self._settle_band
-        if t_lc == 0.0:
-            return NodeTiming(
-                node=node,
-                t_rc=t_rc,
-                t_lc=t_lc,
-                zeta=math.inf,
-                omega_n=math.inf,
-                delay_50=elmore_delay(t_rc),
-                rise_time=wyatt_rise_time(t_rc),
-                overshoot=0.0,
-                settling=-math.log(band) * t_rc,
-            )
-        model = SecondOrderModel.from_sums(t_rc, t_lc)
-        if model.zeta < 1.0:
-            train = overshoot_train(model, max_count=1)
-            overshoot = train[0].fraction if train else 0.0
-        else:
-            overshoot = 0.0
-        return NodeTiming(
-            node=node,
-            t_rc=t_rc,
-            t_lc=t_lc,
-            zeta=0.5 * t_rc / math.sqrt(t_lc),
-            omega_n=model.omega_n,
-            delay_50=scaled_delay(model.zeta) / model.omega_n,
-            rise_time=scaled_rise(model.zeta) / model.omega_n,
-            overshoot=overshoot,
-            settling=settling_time(model, band),
-        )
+        return self._table.timing(node)
 
     def report(self, nodes: Optional[List[str]] = None) -> List[NodeTiming]:
         """Per-node metrics for ``nodes`` (default: every node)."""
-        if nodes is None:
-            return self.report_all()
-        return [self.timing(node) for node in nodes]
+        return self._table.timings(nodes)
 
     def report_all(self) -> List[NodeTiming]:
-        """Metrics for every node, in tree order, in one vectorized pass.
-
-        With the engine engaged this materializes the whole table at
-        once; otherwise it walks the scalar path node by node. Results
-        are identical either way up to the documented 1e-12 tolerance.
-        """
-        table = self._table
-        if table is not None:
-            return table.timings()
-        return [self._scalar_timing(node) for node in self._tree.nodes]
+        """Metrics for every node, in tree order, from one table pass."""
+        return self._table.timings()
 
     def critical_sink(self) -> NodeTiming:
         """The sink with the largest 50% delay."""

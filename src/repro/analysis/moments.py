@@ -21,6 +21,11 @@ passes then evaluate the sums at *all* nodes:
 2. ``Cal_Summations`` (preorder): ``S(i) = S(parent) + R_i * C_load(i)``
    (and the L analogue) — two multiplications per section.
 
+Both passes run in one place, the level-grouped kernels of
+:class:`repro.engine.CompiledTopology`; :func:`capacitive_loads` and
+:func:`second_order_sums` here are their per-name views, so a dict read
+and a table read of the same node give the same bits.
+
 The same trick generalizes to *exact* transfer-function moments of any
 order. Expanding the tree's exact node transfer functions in powers of
 ``s`` gives the recursion (derived from the path-trace expression of
@@ -57,39 +62,36 @@ __all__ = [
 ]
 
 
+def _compiled(tree: RLCTree):
+    # Imported here: the engine's kernels import repro.analysis at load.
+    from ..engine.compiled import compile_tree
+
+    return compile_tree(tree)
+
+
 def capacitive_loads(tree: RLCTree) -> Dict[str, float]:
     """Total capacitance driven by each section (``Cal_Cap_Loads``).
 
     ``C_load(s)`` is the capacitance of the subtree rooted at ``s``
-    (including ``s`` itself). Computed in one postorder pass with
-    additions only.
+    (including ``s`` itself): the per-name view of
+    :meth:`repro.engine.CompiledTopology.accumulate`, additions only.
     """
-    loads: Dict[str, float] = {}
-    for name in tree.postorder():
-        total = tree.section(name).capacitance
-        for child in tree.children(name):
-            total += loads[child]
-        loads[name] = total
-    return loads
+    compiled = _compiled(tree)
+    loads = compiled.topology.accumulate(compiled.capacitance)
+    return dict(zip(compiled.names, loads.tolist()))
 
 
 def second_order_sums(tree: RLCTree) -> Tuple[Dict[str, float], Dict[str, float]]:
     """``(T_RC, T_LC)`` at every node in O(n) — the Appendix algorithm.
 
     Returns two dicts keyed by node name. ``T_RC`` is the Elmore sum of
-    eq. 26; ``T_LC`` is its inductive analogue of eq. 27.
+    eq. 26; ``T_LC`` is its inductive analogue of eq. 27. The per-name
+    view of :meth:`repro.engine.CompiledTree.second_order_sums`.
     """
-    loads = capacitive_loads(tree)
-    t_rc: Dict[str, float] = {}
-    t_lc: Dict[str, float] = {}
-    for name in tree.preorder():
-        section = tree.section(name)
-        parent = tree.parent(name)
-        up_rc = t_rc[parent] if parent != tree.root else 0.0
-        up_lc = t_lc[parent] if parent != tree.root else 0.0
-        t_rc[name] = up_rc + section.resistance * loads[name]
-        t_lc[name] = up_lc + section.inductance * loads[name]
-    return t_rc, t_lc
+    compiled = _compiled(tree)
+    t_rc, t_lc = compiled.second_order_sums()
+    names = compiled.names
+    return dict(zip(names, t_rc.tolist())), dict(zip(names, t_lc.tolist()))
 
 
 def elmore_sums(tree: RLCTree) -> Dict[str, float]:
@@ -116,12 +118,9 @@ def exact_moments(
     moment feeds every ancestor's next order); when ``nodes`` is given
     only those nodes' histories are returned.
     """
-    # Imported here: the engine's kernels import repro.analysis at load.
-    from ..engine.compiled import compile_tree
-
     if order < 0:
         raise ReductionError("moment order must be non-negative")
-    compiled = compile_tree(tree)
+    compiled = _compiled(tree)
     index = compiled.topology.index
     if nodes is None:
         selected: Sequence[str] = compiled.names
@@ -163,19 +162,28 @@ class MomentSummary:
 
 
 def moment_summary(tree: RLCTree, nodes: Sequence[str] | None = None) -> Dict[str, MomentSummary]:
-    """Per-node :class:`MomentSummary` for ``nodes`` (default: all)."""
-    t_rc, t_lc = second_order_sums(tree)
-    exact = exact_moments(tree, 2, nodes)
-    selected = tree.nodes if nodes is None else tuple(nodes)
+    """Per-node :class:`MomentSummary` for ``nodes`` (default: all).
+
+    The sums and the exact moments come from one compiled tree.
+    """
+    compiled = _compiled(tree)
+    index = compiled.topology.index
+    selected = compiled.names if nodes is None else tuple(nodes)
+    for name in selected:
+        if name not in index:
+            raise ReductionError(f"unknown node {name!r}")
+    t_rc, t_lc = compiled.second_order_sums()
+    exact = compiled.exact_moments(2)
     return {
         name: MomentSummary(
             node=name,
-            t_rc=t_rc[name],
-            t_lc=t_lc[name],
-            m1=exact[name][1],
-            m2_exact=exact[name][2],
+            t_rc=float(t_rc[i]),
+            t_lc=float(t_lc[i]),
+            m1=float(exact[1, i]),
+            m2_exact=float(exact[2, i]),
         )
         for name in selected
+        for i in (index[name],)
     }
 
 

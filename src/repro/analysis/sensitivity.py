@@ -38,7 +38,6 @@ from typing import Dict, Literal, Tuple
 from ..circuit.tree import RLCTree
 from ..errors import ConfigurationError, TopologyError
 from .fitting import DELAY_FIT_COEFFICIENTS, RISE_FIT_COEFFICIENTS
-from .moments import capacitive_loads, second_order_sums
 
 __all__ = [
     "SectionSensitivity",
@@ -156,9 +155,25 @@ def delay_sensitivities(
             f"unknown metric {metric!r}; use 'delay' or 'rise'"
         )
 
-    t_rc_all, t_lc_all = second_order_sums(tree)
-    t_rc, t_lc = t_rc_all[node], t_lc_all[node]
-    loads = capacitive_loads(tree)
+    # Imported here: the engine's kernels import repro.analysis at load.
+    from ..engine.compiled import compile_tree
+    from ..engine.kernels import scalar_metrics
+
+    # The sums, the loads and the metric value come from the engine's
+    # compiled passes and O(1) kernel, so ``value`` is bitwise the
+    # table's; the chain-rule factors below only add the derivatives.
+    compiled = compile_tree(tree)
+    i = compiled.topology.index[node]
+    all_rc, all_lc = compiled.second_order_sums()
+    t_rc, t_lc = float(all_rc[i]), float(all_lc[i])
+    loads = dict(zip(
+        compiled.names,
+        compiled.topology.accumulate(compiled.capacitance).tolist(),
+    ))
+    # Any settle band will do: only the settling time reads it.
+    value = scalar_metrics(t_rc, t_lc, 0.1)[
+        "delay_50" if metric == "delay" else "rise_time"
+    ]
     path = set(tree.path_to(node))
 
     # Common-path prefix sums R_ki / L_ki for every k, one preorder pass:
@@ -194,7 +209,6 @@ def delay_sensitivities(
         omega = t_lc ** -0.5
         zeta = 0.5 * t_rc * omega
         g, g_prime = _scaled_metric(zeta, metric)
-        value = g / omega
         # value = g(zeta) * sqrt(T_LC); zeta = T_RC / (2 sqrt(T_LC))
         sqrt_lc = math.sqrt(t_lc)
         dvalue_d_trc = g_prime * 0.5  # dzeta/dT_RC = 1/(2 sqrt) ; * sqrt
@@ -203,9 +217,7 @@ def delay_sensitivities(
             - g_prime * t_rc / (4.0 * t_lc)
         )
     else:
-        factor = _LN2 if metric == "delay" else _LN9
-        value = factor * t_rc
-        dvalue_d_trc = factor
+        dvalue_d_trc = _LN2 if metric == "delay" else _LN9
         dvalue_d_tlc = 0.0
 
     sensitivities: Dict[str, SectionSensitivity] = {}

@@ -28,19 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..analysis.delay import _LN2, delay_50_from_sums, elmore_delay
+from ..analysis.delay import delay_50_from_sums, elmore_delay
 from ..circuit.tree import RLCTree
-from ..engine.incremental import segment_delays
 from ..errors import ReproError
 from ..robustness.guarded import shielded
-from ..runtime import (
-    ExecutionContext,
-    RuntimeConfig,
-    Workload,
-    resolve_context,
-)
+from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
 
 __all__ = [
     "Buffer",
@@ -78,15 +70,6 @@ class Buffer:
         return self.intrinsic_delay + elmore_delay(
             self.output_resistance * load_capacitance
         )
-
-    def driving_delays(self, load_capacitances: np.ndarray) -> np.ndarray:
-        """:meth:`driving_delay` over a vector of loads at once.
-
-        Same operations in the same association as the scalar method, so
-        each lane matches ``driving_delay(load)`` bit for bit.
-        """
-        loads = np.asarray(load_capacitances, dtype=float)
-        return self.intrinsic_delay + _LN2 * (self.output_resistance * loads)
 
 
 @shielded
@@ -172,14 +155,11 @@ def insert_buffers(
         Source driver resistance; when positive, the driver's own delay
         into the chosen root capacitance is charged against the result.
 
-    By default the runtime planner routes frontier scoring: each node's
-    whole Pareto frontier goes through the engine's vectorized kernels
-    (:func:`repro.engine.incremental.segment_delays` for the wire walk,
-    :meth:`Buffer.driving_delays` for the buffer option) — one array
-    call per node instead of one scalar call per candidate. Forcing the
-    scalar backend (``config=RuntimeConfig(backend="scalar")``)
-    evaluates the same arithmetic per candidate; the kernels match the
-    scalar path bit for bit either way.
+    Every candidate is scored with the scalar closed forms
+    (:func:`wire_segment_delay`, :meth:`Buffer.driving_delay`), which
+    beat one array call per frontier at every measured tree size.
+    ``config``/``context`` pick the runtime whose ``stats()`` counts
+    the run.
 
     Returns the candidate with the best required time at the root.
     """
@@ -195,14 +175,9 @@ def insert_buffers(
         raise ReproError(f"candidate nodes not in tree: {sorted(unknown)}")
 
     runtime = resolve_context(context, config)
-    # The DP streams closed-form point evaluations, one frontier per
-    # node; the kernels match the scalar arithmetic bit for bit, so the
-    # planner's small-tree scalar routing changes cost, never results.
-    decision = runtime.plan(Workload(kind="point", tree_size=tree.size))
-    vectorized = decision.backend != "scalar"
-
     frontiers: Dict[str, List[_Candidate]] = {}
-    with runtime.track(decision.backend, "point"):
+    # Closed-form point evaluations, counted where the point route runs.
+    with runtime.track("compiled", "point"):
         for node in tree.postorder():
             children = tree.children(node)
             if not children:
@@ -218,51 +193,31 @@ def insert_buffers(
             # Option: insert a buffer at this node (driving `base`).
             options = list(base)
             if node in allowed:
-                if vectorized:
-                    buffer_delays = buffer.driving_delays(
-                        np.array([c.capacitance for c in base])
-                    )
-                else:
-                    buffer_delays = [
-                        buffer.driving_delay(c.capacitance) for c in base
-                    ]
-                for candidate, delay in zip(base, buffer_delays):
+                for candidate in base:
                     options.append(
                         _Candidate(
                             capacitance=buffer.input_capacitance,
-                            required=candidate.required - float(delay),
+                            required=candidate.required
+                            - buffer.driving_delay(candidate.capacitance),
                             placements=candidate.placements + (node,),
                         )
                     )
             # Walk the wire segment up toward the parent.
             section = tree.section(node)
-            pruned = _prune(options)
-            if vectorized:
-                wire_delays = segment_delays(
-                    section.resistance,
-                    section.inductance,
-                    section.capacitance,
-                    np.array([c.capacitance for c in pruned]),
-                    model,
-                )
-            else:
-                wire_delays = [
-                    wire_segment_delay(
+            walked = [
+                _Candidate(
+                    capacitance=candidate.capacitance + section.capacitance,
+                    required=candidate.required
+                    - wire_segment_delay(
                         section.resistance,
                         section.inductance,
                         section.capacitance,
                         candidate.capacitance,
                         model,
-                    )
-                    for candidate in pruned
-                ]
-            walked = [
-                _Candidate(
-                    capacitance=candidate.capacitance + section.capacitance,
-                    required=candidate.required - float(delay),
+                    ),
                     placements=candidate.placements,
                 )
-                for candidate, delay in zip(pruned, wire_delays)
+                for candidate in _prune(options)
             ]
             frontiers[node] = _prune(walked)
 

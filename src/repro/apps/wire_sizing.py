@@ -16,8 +16,8 @@ length ``length`` and width ``w`` has
 
 The wire drives a lumped receiver load through a driver resistance. The
 sized wire is lumped into ``num_sections`` identical sections and the
-delay read from :class:`~repro.analysis.analyzer.TreeAnalyzer`, so the
-optimization exercises the real library API end to end.
+delay read from the engine's metric table, so the optimization
+exercises the real library API end to end.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Literal, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ..analysis.analyzer import TreeAnalyzer
 from ..circuit.builders import distributed_line
 from ..circuit.elements import Section
 from ..circuit.tree import RLCTree
@@ -175,11 +174,9 @@ class WireSizingProblem:
         structure is reused across optimizer evaluations; only the value
         vectors are re-extracted per width.
         """
-        tree = self.tree(width, model)
-        table = timing_table(tree)
-        if table is not None:
-            return table.value("delay_50", self.sink())
-        return TreeAnalyzer(tree).delay_50(self.sink())
+        return timing_table(self.tree(width, model)).value(
+            "delay_50", self.sink()
+        )
 
     def _check_width(self, width: float) -> None:
         if not (self.min_width <= width <= self.max_width):

@@ -34,10 +34,12 @@ kernels:
   fallback when retries are exhausted, so a crashed or hung worker can
   never hang the call or change the numbers.
 
-The engine is an accelerator, not a second implementation of the
-physics: its kernels mirror the scalar formulas of
-:mod:`repro.analysis` operation for operation, and the property suite
-pins it against both the dict-based sweeps and the O(n^2) path-tracing
+The engine is the one implementation of the per-node physics: every
+entry point (``TreeAnalyzer``, runtime sessions, the guarded analyzer,
+the CLI) reads its sums and its two closed-form kernels, the vector
+:func:`metrics_from_sums` and its O(1) twin :func:`scalar_metrics`,
+which agree bit for bit. The property suite pins them against the
+dict oracle in ``tests/conftest.py`` and the O(n^2) path-tracing
 oracle to 1e-12 relative. See ``docs/PERFORMANCE.md`` for the
 architecture and measured speedups (``BENCH_engine.json``).
 
@@ -72,12 +74,13 @@ from .incremental import (
     IncrementalAnalyzer,
     clear_incremental_counters,
     incremental_cache_info,
-    segment_delays,
 )
 from .kernels import (
     MetricArrays,
+    check_domain,
     fast_path_eligible,
     metrics_from_sums,
+    scalar_metrics,
     validate_settle_band,
 )
 from .sharded import (
@@ -121,6 +124,8 @@ __all__ = [
     "topology_cache_info",
     "MetricArrays",
     "metrics_from_sums",
+    "scalar_metrics",
+    "check_domain",
     "fast_path_eligible",
     "validate_settle_band",
     "TimingTable",
@@ -143,7 +148,6 @@ __all__ = [
     "effective_cpu_count",
     "IncrementalAnalyzer",
     "EditSession",
-    "segment_delays",
     "incremental_cache_info",
     "clear_incremental_counters",
     "cache_info",

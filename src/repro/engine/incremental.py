@@ -66,22 +66,19 @@ from ..errors import (
     ReductionError,
     TopologyError,
 )
-from ..analysis.fitting import scaled_delay, scaled_rise
 from .compiled import CompiledTree, compile_tree
 from .kernels import (
-    OVERSHOOT_THRESHOLD,
+    check_domain,
+    fast_path_eligible,
     metrics_from_sums,
+    scalar_metrics,
     validate_settle_band,
 )
 from .table import TimingTable, _metric_field
 
-_LN2 = math.log(2.0)
-_LN9 = math.log(9.0)
-
 __all__ = [
     "IncrementalAnalyzer",
     "EditSession",
-    "segment_delays",
     "incremental_cache_info",
     "clear_incremental_counters",
 ]
@@ -132,70 +129,6 @@ def clear_incremental_counters() -> None:
     with _counters_lock:
         for key in _COUNTER_KEYS:
             _counters[key] = 0
-
-
-# -- scalar point-query kernel -----------------------------------------------
-
-
-def _scalar_metrics(t_rc: float, t_lc: float, settle_band: float) -> Dict[str, float]:
-    """Every closed-form metric at one ``(T_RC, T_LC)`` point.
-
-    The O(1) twin of :func:`~repro.engine.kernels.metrics_from_sums` for
-    a single in-domain node: same operations in the same association on
-    ``np.float64`` scalars (scalar ufuncs share the array loops), so the
-    result matches the vectorized table bit for bit — without the
-    array-broadcast overhead that would otherwise dominate an O(depth)
-    point query. ``tests/engine/test_incremental.py`` pins the two paths
-    against each other.
-    """
-    neg_log_band = -math.log(settle_band)
-    if t_lc == 0.0:
-        return {
-            "t_rc": t_rc,
-            "t_lc": t_lc,
-            "zeta": math.inf,
-            "omega_n": math.inf,
-            "delay_50": _LN2 * t_rc,
-            "rise_time": _LN9 * t_rc,
-            "overshoot": 0.0,
-            "settling": neg_log_band * t_rc,
-        }
-    t_rc = np.float64(t_rc)
-    t_lc = np.float64(t_lc)
-    with np.errstate(all="ignore"):
-        root_lc = np.sqrt(t_lc)
-        omega_n = 1.0 / root_lc
-        zeta_model = 0.5 * t_rc * (1.0 / root_lc)
-        delay = scaled_delay(zeta_model) / omega_n
-        rise = scaled_rise(zeta_model) / omega_n
-        underdamped = bool(zeta_model < 1.0)
-        radical = np.sqrt(1.0 - zeta_model * zeta_model)
-        fraction = np.exp(-math.pi * zeta_model / radical)
-        overshoot = (
-            float(fraction)
-            if underdamped and fraction >= OVERSHOOT_THRESHOLD
-            else 0.0
-        )
-        if underdamped:
-            per_cycle = math.pi * zeta_model / radical
-            cycles = np.maximum(np.ceil(neg_log_band / per_cycle), 1.0)
-            settling = cycles * math.pi / (omega_n * radical)
-        else:
-            slow = 1.0 / (
-                zeta_model
-                * (1.0 + np.sqrt(1.0 - 1.0 / (zeta_model * zeta_model)))
-            )
-            settling = neg_log_band / (omega_n * slow)
-    return {
-        "t_rc": float(t_rc),
-        "t_lc": float(t_lc),
-        "zeta": float(0.5 * t_rc / root_lc),
-        "omega_n": float(omega_n),
-        "delay_50": float(delay),
-        "rise_time": float(rise),
-        "overshoot": overshoot,
-        "settling": float(settling),
-    }
 
 
 # -- edit validation ---------------------------------------------------------
@@ -799,36 +732,21 @@ class IncrementalAnalyzer:
             _bump("lazy_queries")
         return t_rc, t_lc
 
-    def _check_domain(self, t_rc: float, t_lc: float, node: str) -> None:
-        # Mirrors kernels.fast_path_eligible / the scalar analyzer's
-        # typed raises, per node.
-        ok = (
-            math.isfinite(t_rc)
-            and math.isfinite(t_lc)
-            and t_lc >= 0.0
-            and (t_rc >= 0.0 if t_lc == 0.0 else t_rc > 0.0)
-        )
-        if not ok:
-            raise ElementValueError(
-                f"node {node!r}: sums (T_RC={t_rc!r}, T_LC={t_lc!r}) fall "
-                "outside the closed forms' domain; check the element values"
-            )
-
     def value(self, metric: str, node: str) -> float:
         """One metric at one node, O(depth) + an O(1) kernel evaluation.
 
-        Matches the vectorized kernels operation for operation; nodes
-        outside the closed forms' domain raise
-        :class:`~repro.errors.ElementValueError` like the scalar path.
+        The kernels' O(1) twin, so the value matches the vectorized
+        table bit for bit; nodes outside the closed forms' domain raise
+        :class:`~repro.errors.ElementValueError` like a table read.
         """
         field = _metric_field(metric)
         t_rc, t_lc = self.sums(node)
-        self._check_domain(t_rc, t_lc, node)
+        check_domain(t_rc, t_lc, node)
         if field == "t_rc":
             return t_rc
         if field == "t_lc":
             return t_lc
-        return _scalar_metrics(t_rc, t_lc, self._settle_band)[field]
+        return scalar_metrics(t_rc, t_lc, self._settle_band)[field]
 
     def timing(self, node: str):
         """The full :class:`~repro.analysis.analyzer.NodeTiming` of one
@@ -836,9 +754,9 @@ class IncrementalAnalyzer:
         from ..analysis.analyzer import NodeTiming
 
         t_rc, t_lc = self.sums(node)
-        self._check_domain(t_rc, t_lc, node)
+        check_domain(t_rc, t_lc, node)
         return NodeTiming(
-            node=node, **_scalar_metrics(t_rc, t_lc, self._settle_band)
+            node=node, **scalar_metrics(t_rc, t_lc, self._settle_band)
         )
 
     def metric_at(self, metric: str, nodes: Sequence[str]) -> np.ndarray:
@@ -858,8 +776,9 @@ class IncrementalAnalyzer:
         if self._pending:
             for k, node in enumerate(nodes):
                 t_rc[k], t_lc[k] = self.sums(node)
-        for k, node in enumerate(nodes):
-            self._check_domain(float(t_rc[k]), float(t_lc[k]), node)
+        if not fast_path_eligible(t_rc, t_lc):
+            for k, node in enumerate(nodes):
+                check_domain(float(t_rc[k]), float(t_lc[k]), node)
         if field == "t_rc":
             return t_rc
         if field == "t_lc":
@@ -915,46 +834,3 @@ class IncrementalAnalyzer:
             _bump("full_metric_refreshes")
         self._stale_roots.clear()
         self._stale_weight = 0
-
-
-# -- vectorized single-segment scoring ---------------------------------------
-
-
-def segment_delays(
-    resistance: Union[float, np.ndarray],
-    inductance: Union[float, np.ndarray],
-    capacitance: Union[float, np.ndarray],
-    loads: np.ndarray,
-    model: str = "rlc",
-) -> np.ndarray:
-    """Delays of single sections driving lumped loads, vectorized.
-
-    The array twin of
-    :func:`repro.apps.buffer_insertion.wire_segment_delay`: for each
-    lane, ``total = C + load``; a non-positive total contributes zero
-    delay, the RC limit takes the Elmore delay, and second-order lanes
-    take the fitted 50% delay — the same kernel operations as the scalar
-    path, so results are bitwise identical. Lanes the scalar path
-    rejects (``T_RC <= 0`` with ``T_LC > 0``) raise the same
-    :class:`~repro.errors.ElementValueError`.
-    """
-    if model not in ("rlc", "rc"):
-        raise ConfigurationError(f"unknown model {model!r}; use 'rlc' or 'rc'")
-    r = np.asarray(resistance, dtype=float)
-    l = np.asarray(inductance, dtype=float)
-    c = np.asarray(capacitance, dtype=float)
-    loads = np.asarray(loads, dtype=float)
-    if model == "rc":
-        l = np.zeros_like(l)
-    total = c + loads
-    t_rc = r * total
-    t_lc = l * total
-    live = total > 0.0
-    bad = live & (t_lc > 0.0) & (t_rc <= 0.0)
-    if np.any(bad):
-        raise ElementValueError(
-            "segment with T_RC <= 0 but T_LC > 0: the second-order model "
-            "needs a positive RC sum; check the element values"
-        )
-    metrics = metrics_from_sums(t_rc, t_lc, select=("delay_50",))
-    return np.where(live, metrics.delay_50, 0.0)

@@ -8,35 +8,40 @@ over whole arrays at once, for any shape ``(...,)`` of sums — one tree's
 ``(n,)`` vector or a batch's ``(S, n)`` matrix.
 
 The RC limit (``T_LC == 0``) is handled by elementwise masking rather
-than branching, mirroring the scalar dispatch exactly: Elmore/Wyatt
-delay and rise time, ``zeta = omega_n = inf``, zero overshoot, and
-dominant-pole band entry for settling. All intermediate garbage lanes
-(``inf/inf`` at masked positions) are computed under
+than branching: Elmore/Wyatt delay and rise time, ``zeta = omega_n =
+inf``, zero overshoot, and dominant-pole band entry for settling. All
+intermediate garbage lanes (``inf/inf`` at masked positions) are
+computed under
 ``np.errstate(all="ignore")`` and discarded by the masks, so no floating
 point warnings escape — the kernels are safe under
 ``filterwarnings = error``.
 
-The formulas replicate the scalar code paths operation for operation
-(same association, same constants), so kernel outputs agree with
-:mod:`repro.analysis` to the last few ulps; the property suite enforces
-1e-12 relative agreement against both the scalar metrics and the O(n^2)
-path-tracing oracle.
+:func:`scalar_metrics` is the O(1) twin for one in-domain node: the
+same operations in the same association on Python floats, so a point
+read and a table read give the same bits. These two are the
+only evaluation of the closed forms per node; :func:`check_domain` is
+the one per-node test of where they apply, raising the typed error a
+read of an out-of-domain row surfaces. The property suite pins both
+kernels within 1e-12 of the dict oracle in ``tests/conftest.py`` and
+the O(n^2) path-tracing oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.fitting import DELAY_FIT_COEFFICIENTS, RISE_FIT_COEFFICIENTS
-from ..errors import ConfigurationError, ReductionError
+from ..errors import ConfigurationError, ElementValueError, ReductionError
 
 __all__ = [
     "MetricArrays",
     "metrics_from_sums",
+    "scalar_metrics",
+    "check_domain",
     "fast_path_eligible",
     "validate_settle_band",
 ]
@@ -93,8 +98,6 @@ def validate_settle_band(settle_band: float) -> None:
     band has no logarithm (a raw ``math domain error`` before this
     check) and a band of 1 or more describes a tolerance the response is
     *always* inside, silently producing zero or negative settling times.
-    The scalar :class:`~repro.analysis.analyzer.TreeAnalyzer` raises the
-    same typed error for the same domain.
     """
     if not 0.0 < settle_band < 1.0:
         raise ConfigurationError("settle_band must be in (0, 1)")
@@ -106,7 +109,7 @@ class MetricArrays:
 
     All fields share the shape of the ``(T_RC, T_LC)`` inputs. RC-limit
     entries carry ``zeta = omega_n = inf`` with the Elmore/Wyatt
-    metrics, exactly like the scalar analyzer. A metric left out of
+    metrics. A metric left out of
     :func:`metrics_from_sums`'s ``select`` is ``None``; the sums
     themselves are always present.
     """
@@ -137,10 +140,9 @@ def metrics_from_sums(
 
     Inputs may have any (broadcast-compatible) shape; outputs share it.
     Entries outside the formulas' domain (``T_RC <= 0`` with
-    ``T_LC > 0``, negative or non-finite sums — inputs on which the
-    scalar path raises) come out as NaN rather than raising; use
-    :func:`fast_path_eligible` to pre-check when scalar-equivalent error
-    behaviour is required.
+    ``T_LC > 0``, negative or non-finite sums) come out non-finite
+    rather than raising; :func:`check_domain` raises their typed error per
+    row, and :func:`fast_path_eligible` tests a whole array at once.
 
     ``select`` restricts evaluation to the named metrics (the sums are
     always carried); a 1000x1000 batch that only reads ``delay_50``
@@ -149,9 +151,9 @@ def metrics_from_sums(
 
     ``settle_band`` must lie in ``(0, 1)`` (see
     :func:`validate_settle_band`); values outside that domain raise
-    :class:`~repro.errors.ConfigurationError`, matching the scalar
-    analyzer, instead of a raw ``math domain error`` (``<= 0``) or
-    silently nonsensical settling times (``>= 1``).
+    :class:`~repro.errors.ConfigurationError` instead of a raw
+    ``math domain error`` (``<= 0``) or silently nonsensical settling
+    times (``>= 1``).
     """
     validate_settle_band(settle_band)
     t_rc = np.asarray(t_rc, dtype=float)
@@ -247,14 +249,100 @@ def metrics_from_sums(
     return MetricArrays(**out)
 
 
+def scalar_metrics(t_rc: float, t_lc: float, settle_band: float) -> Dict[str, float]:
+    """Every closed-form metric at one ``(T_RC, T_LC)`` point.
+
+    The O(1) twin of :func:`metrics_from_sums` for a single in-domain
+    node: the same operations in the same association, on Python floats
+    (IEEE-identical to the array lanes for ``+ - * /`` and ``sqrt``),
+    with the two exponentials taken through ``np.exp`` so they run the
+    array kernel's loop. The result matches the vectorized table bit for
+    bit without the array overhead that would dominate a point query.
+    On the rare input where Python float arithmetic raises instead of
+    producing an IEEE infinity (a zero divisor, an infinite ceiling) the
+    row is evaluated by :func:`metrics_from_sums` itself. Call
+    :func:`check_domain` first; out-of-domain sums give garbage here.
+    """
+    t_rc = float(t_rc)
+    t_lc = float(t_lc)
+    neg_log_band = -math.log(settle_band)
+    if t_lc == 0.0:
+        return {
+            "t_rc": t_rc,
+            "t_lc": t_lc,
+            "zeta": math.inf,
+            "omega_n": math.inf,
+            "delay_50": _LN2 * t_rc,
+            "rise_time": _LN9 * t_rc,
+            "overshoot": 0.0,
+            "settling": neg_log_band * t_rc,
+        }
+    a, b, c = DELAY_FIT_COEFFICIENTS
+    n0, n1, n2, n3, d1, d2 = RISE_FIT_COEFFICIENTS
+    try:
+        root_lc = math.sqrt(t_lc)
+        omega_n = 1.0 / root_lc
+        zeta = 0.5 * t_rc * omega_n  # the model's damping, as the kernel's
+        delay = (float(np.exp(-zeta / b)) * a + c * zeta) / omega_n
+        rise = (
+            (n0 + zeta * (n1 + zeta * (n2 + zeta * n3)))
+            / (1.0 + zeta * (d1 + zeta * d2))
+            / omega_n
+        )
+        overshoot = 0.0
+        if zeta < 1.0:
+            radical = math.sqrt(1.0 - zeta * zeta)
+            per_cycle = math.pi * zeta / radical
+            fraction = float(np.exp(-per_cycle))
+            if fraction >= OVERSHOOT_THRESHOLD:
+                overshoot = fraction
+            cycles = max(math.ceil(neg_log_band / per_cycle), 1.0)
+            settling = cycles * math.pi / (omega_n * radical)
+        else:
+            slow = 1.0 / (zeta * (1.0 + math.sqrt(1.0 - 1.0 / (zeta * zeta))))
+            settling = neg_log_band / (omega_n * slow)
+    except (ArithmeticError, ValueError):
+        row = metrics_from_sums(np.array([t_rc]), np.array([t_lc]), settle_band)
+        return {name: float(getattr(row, name)[0]) for name in METRIC_NAMES}
+    return {
+        "t_rc": t_rc,
+        "t_lc": t_lc,
+        "zeta": 0.5 * t_rc / root_lc,
+        "omega_n": omega_n,
+        "delay_50": delay,
+        "rise_time": rise,
+        "overshoot": overshoot,
+        "settling": settling,
+    }
+
+
+def check_domain(t_rc: float, t_lc: float, node: str) -> None:
+    """Raise :class:`~repro.errors.ElementValueError` unless one node's
+    sums lie inside the closed forms' domain.
+
+    The domain is finite sums with ``T_LC >= 0`` and ``T_RC > 0`` —
+    ``T_RC >= 0`` in the RC limit ``T_LC = 0``. Every point read and
+    table read of a metric row passes through here; the kernels
+    themselves tabulate such rows as NaN.
+    """
+    if not (
+        math.isfinite(t_rc)
+        and math.isfinite(t_lc)
+        and t_lc >= 0.0
+        and (t_rc >= 0.0 if t_lc == 0.0 else t_rc > 0.0)
+    ):
+        raise ElementValueError(
+            f"node {node!r}: sums (T_RC={t_rc!r}, T_LC={t_lc!r}) fall "
+            "outside the closed forms' domain; check the element values"
+        )
+
+
 def fast_path_eligible(t_rc: np.ndarray, t_lc: np.ndarray) -> bool:
     """True when every entry is inside the closed forms' domain.
 
-    The scalar path raises a typed error for nodes outside it
-    (non-finite sums from corrupted values, ``T_RC <= 0`` where a
-    second-order model is required, negative ``T_RC`` in the RC limit);
-    vectorized callers check this up front and fall back to the scalar
-    path so those errors surface unchanged.
+    The whole-array form of :func:`check_domain`: non-finite sums from
+    corrupted values, ``T_RC <= 0`` where a second-order model is
+    required, or negative ``T_RC`` in the RC limit make it False.
     """
     t_rc = np.asarray(t_rc, dtype=float)
     t_lc = np.asarray(t_lc, dtype=float)

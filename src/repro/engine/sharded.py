@@ -248,7 +248,8 @@ def analyze_many(
 
     With ``check_domain`` (the default) a tree whose sums fall outside
     the closed forms' domain reports a typed per-tree error instead of a
-    NaN-filled table, mirroring the scalar path's
+    table with non-finite rows; without it the table is returned and its
+    row accessors raise each such row's
     :class:`~repro.errors.ElementValueError`.
 
     Multi-worker dispatches run under ``supervision`` (defaulting to

@@ -1,10 +1,11 @@
 """Full-tree and batch evaluation on top of the compiled form.
 
-:class:`TimingTable` is the vectorized equivalent of
-``TreeAnalyzer.report()``: every metric at every node, as ``(n,)``
-columns, plus accessors that materialize the same
-:class:`~repro.analysis.analyzer.NodeTiming` objects the scalar path
-returns.
+:class:`TimingTable` is one tree's every metric at every node, as
+``(n,)`` columns, plus accessors that materialize
+:class:`~repro.analysis.analyzer.NodeTiming` objects. Rows outside the
+closed forms' domain stay in the columns as the kernels' non-finite
+values; the row accessors (``value``, ``timing``, ``timings``) raise
+that row's typed :class:`~repro.errors.ElementValueError` instead.
 
 :func:`analyze_batch` is the S-scenario generalization: given one
 compiled topology and ``(S, n)`` value matrices (or a stacked
@@ -34,6 +35,7 @@ from .compiled import CompiledTopology, CompiledTree, compile_tree
 from .kernels import (
     METRIC_NAMES,
     MetricArrays,
+    check_domain,
     fast_path_eligible,
     metrics_from_sums,
     validate_settle_band,
@@ -110,9 +112,17 @@ class TimingTable:
         except KeyError:
             raise TopologyError(f"unknown node {node!r}") from None
 
+    def _row(self, node: str) -> int:
+        """``node``'s row index, after :func:`check_domain` on its sums."""
+        i = self.index(node)
+        m = self.metrics
+        check_domain(float(m.t_rc[i]), float(m.t_lc[i]), node)
+        return i
+
     def value(self, metric: str, node: str) -> float:
-        """One metric at one node."""
-        return float(self.column(metric)[self.index(node)])
+        """One metric at one node; an out-of-domain row raises."""
+        column = self.column(metric)
+        return float(column[self._row(node)])
 
     # -- NodeTiming materialization ---------------------------------------
 
@@ -120,7 +130,7 @@ class TimingTable:
         """The :class:`~repro.analysis.analyzer.NodeTiming` of one node."""
         from ..analysis.analyzer import NodeTiming
 
-        i = self.index(node)
+        i = self._row(node)
         m = self.metrics
         return NodeTiming(
             node=node,
@@ -135,12 +145,18 @@ class TimingTable:
         )
 
     def timings(self, nodes: Optional[Sequence[str]] = None) -> List:
-        """``NodeTiming`` objects for ``nodes`` (default: every node)."""
+        """``NodeTiming`` objects for ``nodes`` (default: every node).
+
+        Raises the typed error of the first out-of-domain row selected.
+        """
         from ..analysis.analyzer import NodeTiming
 
         m = self.metrics
         if nodes is not None:
             return [self.timing(node) for node in nodes]
+        if not fast_path_eligible(m.t_rc, m.t_lc):
+            for node in self.names:
+                self._row(node)
         rows = zip(
             self.names,
             m.t_rc.tolist(),
@@ -179,9 +195,10 @@ def evaluate(compiled: CompiledTree, settle_band: float = 0.1) -> TimingTable:
     """Sums plus every metric for one compiled tree, in one array pass.
 
     Performs no domain checking on the *sums*: entries the closed forms
-    cannot serve come out NaN (see
-    :func:`~repro.engine.kernels.metrics_from_sums`). The ``settle_band``
-    request, however, is validated up front — out-of-domain bands raise
+    cannot serve come out non-finite (see
+    :func:`~repro.engine.kernels.metrics_from_sums`), and the table's row
+    accessors raise for them. The ``settle_band`` request, however, is
+    validated up front — out-of-domain bands raise
     :class:`~repro.errors.ConfigurationError` before any sweep runs.
     """
     validate_settle_band(settle_band)
@@ -195,26 +212,14 @@ def evaluate(compiled: CompiledTree, settle_band: float = 0.1) -> TimingTable:
 
 def timing_table(
     tree: RLCTree, settle_band: float = 0.1, *, cache: bool = True
-) -> Optional[TimingTable]:
-    """The fast-path table for ``tree``, or ``None`` when ineligible.
+) -> TimingTable:
+    """The metric table of ``tree``: :func:`evaluate` on its compiled form.
 
-    Eligibility is :func:`~repro.engine.kernels.fast_path_eligible` on
-    the tree's sums: when any node falls outside the closed forms'
-    domain this returns ``None`` so callers can run the scalar path and
-    surface its typed errors unchanged. An out-of-domain
-    ``settle_band`` raises :class:`~repro.errors.ConfigurationError`
-    here (never ``None``), exactly like the scalar analyzer.
+    Always a table; nodes outside the closed forms' domain are
+    non-finite rows whose accessors raise. An out-of-domain
+    ``settle_band`` raises :class:`~repro.errors.ConfigurationError`.
     """
-    validate_settle_band(settle_band)
-    compiled = compile_tree(tree, cache=cache)
-    t_rc, t_lc = compiled.second_order_sums()
-    if not fast_path_eligible(t_rc, t_lc):
-        return None
-    return TimingTable(
-        names=compiled.names,
-        settle_band=settle_band,
-        metrics=metrics_from_sums(t_rc, t_lc, settle_band),
-    )
+    return evaluate(compile_tree(tree, cache=cache), settle_band)
 
 
 @dataclass(frozen=True)

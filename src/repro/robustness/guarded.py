@@ -13,10 +13,13 @@ the three defensive layers the rest of this package provides:
    ``exact`` (modal simulation measured on a node-adaptive grid). A
    tier answers only with a finite value; anything else — a
    :class:`~repro.errors.ReproError`, a numpy ``LinAlgError``, an
-   overflow, a NaN — is recorded and the next tier runs. When the
-   runtime session holds the tree's closed-form table, the first tier
-   is one read of it: nodes whose metrics it gives finite are answered
-   there, and only the others walk the chain.
+   overflow, a NaN — is recorded and the next tier runs. The first
+   tier is one read of the runtime session's closed-form table: nodes
+   whose metrics it gives finite are answered there, and only the
+   others — out-of-domain rows are non-finite in that table — walk the
+   chain.
+   The exact tier declines a tree above :data:`EXACT_STATE_BUDGET`
+   states with a typed failure instead of simulating it.
 3. **Numerical-health retries** — the exact tier probes its
    eigendecomposition (condition, residual, finiteness) and on a
    tripped probe retries once in normalized units
@@ -47,6 +50,7 @@ from ..errors import (
     FallbackExhaustedError,
     NumericalHealthError,
     ReproError,
+    SimulationError,
     TopologyError,
 )
 from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
@@ -56,6 +60,7 @@ from .health import characteristic_scales, rescale_tree
 from .validate import RepairPolicy, sanitize
 
 __all__ = [
+    "EXACT_STATE_BUDGET",
     "TierAttempt",
     "RobustnessReport",
     "GuardedTiming",
@@ -74,6 +79,18 @@ _TIER_FAILURES = (
     np.linalg.LinAlgError,
     Warning,
 )
+
+#: Largest state count (sections plus inductive sections) the exact
+#: tier simulates; above it the tier records a typed "over budget"
+#: failure instead. The exact tier's cost is one dense eigensolve,
+#: O(states^3), plus (modes x grid) complex step-response blocks on
+#: grids of up to 36,009 points. Measured on ``random_tree(N)`` seed 0
+#: with R = 0 on the root's first child (one escalated row, four metrics
+#: through the exact tier, 2-core x86 VM): 100 states 1.6 s and 269 MB
+#: peak RSS, 200 states 2.6 s and 429 MB, 400 states 6.2 s and 775 MB,
+#: against 82 MB for the same process without escalation. 200 keeps one
+#: escalated row under 500 MB.
+EXACT_STATE_BUDGET = 200
 
 #: The four guarded metrics and whether their value carries time units
 #: (time-valued results from a rescaled solve are multiplied back).
@@ -245,8 +262,7 @@ class GuardedAnalyzer:
         rescaling entirely).
     config / context:
         Runtime routing for the closed-form tier, which reads a runtime
-        session opened on the sanitized tree (the engine table, or the
-        scalar sweep for a tree outside the closed forms' domain): an explicit
+        session opened on the sanitized tree: an explicit
         :class:`~repro.runtime.ExecutionContext` wins, a bare
         :class:`~repro.runtime.RuntimeConfig` gets its own context,
         neither means the process default
@@ -299,9 +315,12 @@ class GuardedAnalyzer:
 
         self._runtime = resolve_context(context, config)
         self._session = self._runtime.session(self._tree, settle_band)
-        # Whether the first tier may be answered from the session's
-        # table; cleared for good once the session turns out to have none.
-        self._table_backed = chain[0] == "closed-form"
+        # A finite table row answers the first tier only when the chain
+        # opens with it; otherwise every row walks the chain.
+        self._table_answers = chain[0] == "closed-form"
+        # One AWE model per escalated node, failures included: node ->
+        # (AweMetrics, None) or (None, the exception it raised).
+        self._awe_cache: Dict[str, Tuple[object, Optional[BaseException]]] = {}
         # Exact-tier simulators, one per rescaling attempt, built lazily:
         # attempt index -> (simulator, helper analyzer, time scale).
         self._exact_cache: Dict[int, Tuple[object, TreeAnalyzer, float]] = {}
@@ -331,11 +350,10 @@ class GuardedAnalyzer:
                 f"unknown metric {metric!r}; choose from {tuple(_METRICS)}"
             )
         self._check_node(node)
-        table = self._closed_form_table()
-        if table is not None:
-            m = table.metrics
+        if self._table_answers:
+            table = self._session.table()
             i = table.index(node)
-            if _finite_row(m, i):
+            if _finite_row(table.metrics, i):
                 return _closed_form_report(
                     node, metric, float(table.column(metric)[i])
                 )
@@ -364,16 +382,15 @@ class GuardedAnalyzer:
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[GuardedTiming]:
         """Per-node guarded metrics for ``nodes`` (default: every node).
 
-        With the closed-form table available any selection costs one
-        table read: every node whose four metrics are finite is answered
-        from it, and only the rest walk the fallback chain. Raises
-        :class:`~repro.errors.TopologyError` for an unknown node or the
-        root before any node walks the chain.
+        Any selection costs one table read: every node whose four
+        metrics are finite is answered from it, and only the rest walk
+        the fallback chain (every node, when the chain does not open
+        with ``closed-form``). The sums and damping always come from the
+        table. Raises :class:`~repro.errors.TopologyError` for an
+        unknown node or the root before any node walks the chain.
         """
-        table = self._closed_form_table()
-        if table is None:
-            selected = self._tree.nodes if nodes is None else nodes
-            return [self._chain_timing(node) for node in selected]
+        table = self._session.table()
+        answers = self._table_answers
         m = table.metrics
         if nodes is not None:
             # Scalar reads per row: timing() passes one node, and
@@ -391,7 +408,7 @@ class GuardedAnalyzer:
                     node,
                     # _finite_row on the floats already read: this loop is
                     # timing()'s body, so each saved array index counts.
-                    isfinite(delay) and isfinite(rise)
+                    answers and isfinite(delay) and isfinite(rise)
                     and isfinite(over) and isfinite(settle),
                     float(m.t_rc[i]),
                     float(m.t_lc[i]),
@@ -408,6 +425,7 @@ class GuardedAnalyzer:
             & np.isfinite(m.rise_time)
             & np.isfinite(m.overshoot)
             & np.isfinite(m.settling)
+            & answers
         )
         return self._table_rows(zip(
             table.names,
@@ -423,21 +441,6 @@ class GuardedAnalyzer:
         ))
 
     # -- the table-backed closed-form tier ------------------------------------
-
-    def _closed_form_table(self):
-        """The session's full metric table when it answers the first tier.
-
-        ``None`` — so every query walks the chain as a single query
-        would — when the chain does not open with ``closed-form`` or the
-        session has no table (scalar backend, ineligible tree).
-        """
-        if not self._table_backed:
-            return None
-        table = self._session.table()
-        if table is None:
-            # A session without a table never grows one: stop asking.
-            self._table_backed = False
-        return table
 
     def _table_rows(self, rows) -> List[GuardedTiming]:
         """``GuardedTiming`` objects from table rows.
@@ -524,46 +527,38 @@ class GuardedAnalyzer:
             attempts=tuple(attempts),
         )
 
-    def _chain_timing(self, node: str) -> GuardedTiming:
-        """:meth:`timing` without a closed-form table: one walk per metric."""
-        reports = tuple(self.query(metric, node) for metric in _METRICS)
-        values = {r.metric: r.value for r in reports}
-        # The session is the one source of the sums and damping.
-        t_rc, t_lc = self._session.sums(node)
-        return GuardedTiming(
-            node=node,
-            t_rc=t_rc,
-            t_lc=t_lc,
-            zeta=self._session.value("zeta", node),
-            omega_n=self._session.value("omega_n", node),
-            delay_50=values["delay_50"],
-            rise_time=values["rise_time"],
-            overshoot=values["overshoot"],
-            settling=values["settling_time"],
-            reports=reports,
-        )
-
     # -- tiers ----------------------------------------------------------------
 
     def _tier_closed_form(
         self, metric: str, node: str
     ) -> Tuple[float, bool, str]:
-        # The session's state reads the engine table when the tree is
-        # eligible and the scalar analyzer otherwise, whose typed errors
-        # feed the tier chain.
+        # An out-of-domain row raises its typed error here, which the
+        # chain records before the next tier runs.
         return float(self._session.value(metric, node)), False, ""
 
     def _tier_awe(self, metric: str, node: str) -> Tuple[float, bool, str]:
         from ..reduction.awe import awe_step_metrics
 
-        result = awe_step_metrics(
-            self._tree,
-            node,
-            order=self._awe_order,
-            stable_only=True,
-            min_stable_ratio=0.5,
-            settle_band=self._settle_band,
-        )
+        # All four metrics of a node come from one AWE model; a failure
+        # is memoized too, so each metric records the same attempt.
+        if node not in self._awe_cache:
+            try:
+                model = awe_step_metrics(
+                    self._tree,
+                    node,
+                    order=self._awe_order,
+                    stable_only=True,
+                    min_stable_ratio=0.5,
+                    settle_band=self._settle_band,
+                )
+            except _TIER_FAILURES as exc:
+                # Dropping the traceback frees the failed solve's frames.
+                self._awe_cache[node] = (None, exc.with_traceback(None))
+            else:
+                self._awe_cache[node] = (model, None)
+        result, failure = self._awe_cache[node]
+        if failure is not None:
+            raise failure
         value = {
             "delay_50": result.delay_50,
             "rise_time": result.rise_time,
@@ -574,6 +569,16 @@ class GuardedAnalyzer:
 
     def _tier_exact(self, metric: str, node: str) -> Tuple[float, bool, str]:
         """Exact modal simulation with bounded unit-rescaling retries."""
+        tree = self._tree
+        states = tree.size + sum(
+            1 for name in tree.nodes if tree.section(name).inductance > 0.0
+        )
+        if states > EXACT_STATE_BUDGET:
+            raise SimulationError(
+                f"over budget: {states} states > EXACT_STATE_BUDGET="
+                f"{EXACT_STATE_BUDGET}; the exact tier does not simulate "
+                "a tree this large"
+            )
         last_exc: Optional[Exception] = None
         for attempt in range(self._max_rescale_retries + 1):
             try:

@@ -1,11 +1,11 @@
 """The unified execution runtime: registry, routing, instrumentation.
 
-Four PRs gave this reproduction four ways to evaluate the paper's
-closed forms — the scalar :class:`~repro.analysis.TreeAnalyzer`, the
-compiled :class:`~repro.engine.TimingTable` kernels, the delta-update
-:class:`~repro.engine.incremental.IncrementalAnalyzer` and the sharded
-multi-process dispatch layer. This package is the seam that makes them
-one system:
+The paper's closed forms are evaluated by one pair of kernels over
+one tree's compiled sums, driven three ways — in process
+(:class:`~repro.engine.TimingTable` and the batch kernels), by delta
+updates (:class:`~repro.engine.incremental.IncrementalAnalyzer`) and
+by the sharded multi-process dispatch layer. This package is the seam
+that makes them one system:
 
 * :mod:`~repro.runtime.backends` — the :class:`Backend` protocol
   (capabilities: point, table, batch, edit, many) with adapters

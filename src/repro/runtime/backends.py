@@ -4,23 +4,25 @@ A :class:`Backend` wraps one evaluation engine behind a uniform
 capability surface so the :class:`~repro.runtime.context.ExecutionContext`
 can route any workload without knowing engine internals:
 
-* ``"scalar"`` — the dict-sweep :class:`~repro.analysis.TreeAnalyzer`
-  (``use_engine=False``); cheapest for one-off point queries on small
-  trees, and the reference semantics everything else is pinned against.
-* ``"compiled"`` — the vectorized :class:`~repro.engine.TimingTable` /
-  :func:`~repro.engine.analyze_batch` pair. A session reads every value
-  (sums and ``elmore_delay`` included) from one table; only a tree
-  outside the closed forms' domain gets the scalar state instead, so
-  the scalar path's typed errors surface unchanged.
+* ``"compiled"`` — one tree's compiled sums for sessions, and the
+  vectorized :func:`~repro.engine.analyze_batch` for batches. A
+  session's point reads evaluate the O(1) kernel twin on one row; its
+  ``table()``/``report()`` evaluate the vector kernel once, on first
+  use. The two kernels agree bit for bit.
+* ``"scalar"`` — the same session state as ``"compiled"`` under its own
+  name and capability set; kept so ``--backend scalar`` and registries
+  that name it keep working.
 * ``"incremental"`` — the delta-update
   :class:`~repro.engine.incremental.IncrementalAnalyzer` for
   edit-stream workloads.
 * ``"sharded"`` — the multi-process :func:`~repro.engine.analyze_many`
   / :func:`~repro.engine.analyze_batch_sharded` dispatch layer.
 
-Every adapter answers the same queries with bitwise-identical values on
-in-domain trees — the cross-backend equivalence suite pins that — so
-routing is purely a *cost* decision, never a *semantics* one.
+Every adapter reads the same compiled sums and the same two kernels, so
+every query gets bitwise-identical values whatever the route, and a
+node outside the closed forms' domain raises the same typed
+:class:`~repro.errors.ElementValueError` on every route; routing is
+purely a *cost* decision, never a *semantics* one.
 """
 
 from __future__ import annotations
@@ -30,21 +32,21 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.analyzer import NodeTiming, TreeAnalyzer
+from ..analysis.analyzer import NodeTiming
 from ..analysis.delay import elmore_delay
 from ..circuit.tree import RLCTree
-from ..engine import (
-    analyze_batch,
-    analyze_many,
-    evaluate,
-    fast_path_eligible,
-    timing_table,
-)
-from ..engine.compiled import CompiledTree
+from ..engine import analyze_batch, analyze_many
+from ..engine.compiled import CompiledTree, compile_tree
 from ..engine.incremental import IncrementalAnalyzer
+from ..engine.kernels import (
+    check_domain,
+    metrics_from_sums,
+    scalar_metrics,
+    validate_settle_band,
+)
 from ..engine.sharded import ShardError, analyze_batch_sharded
-from ..engine.table import BatchTiming, TimingTable
-from ..errors import ConfigurationError, DispatchError
+from ..engine.table import BatchTiming, TimingTable, _metric_field
+from ..errors import ConfigurationError, DispatchError, TopologyError
 from .config import BACKEND_NAMES, RuntimeConfig
 
 __all__ = [
@@ -91,9 +93,10 @@ class SessionState(abc.ABC):
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[NodeTiming]:
         """Per-node metrics (default: every node)."""
 
-    def table(self) -> Optional[TimingTable]:
-        """The vectorized full-tree table, when this state has one."""
-        return None
+    @abc.abstractmethod
+    def table(self) -> TimingTable:
+        """The full-tree metric table; out-of-domain rows stay in it
+        (non-finite) and its row accessors raise for them."""
 
     def editor(self) -> IncrementalAnalyzer:
         """The live delta-update analyzer (incremental states only)."""
@@ -112,64 +115,95 @@ def _require_tree(source: TreeSource, backend: str) -> RLCTree:
     return source
 
 
-class _AnalyzerState(SessionState):
-    """Session state backed by the scalar :class:`TreeAnalyzer`."""
+class _TreeState(SessionState):
+    """Session state over one tree's compiled ``(T_RC, T_LC)`` arrays.
 
-    def __init__(self, analyzer: TreeAnalyzer):
-        self._analyzer = analyzer
+    The compiled, scalar and sharded backends all open this state. A
+    point read checks its row's domain and evaluates the kernels' O(1)
+    twin (:func:`~repro.engine.kernels.scalar_metrics`) until a table
+    exists, and reads that table after; :meth:`table` and :meth:`report`
+    evaluate the vector kernel once, on first use. Both kernels give the
+    same bits, so which one serves a read is a cost choice only.
+    """
 
-    def value(self, metric: str, node: str) -> float:
-        if metric == "elmore_delay":
-            return float(self._analyzer.elmore_delay(node))
-        method = {
-            "t_rc": lambda n: self._analyzer.sums(n)[0],
-            "t_lc": lambda n: self._analyzer.sums(n)[1],
-            "zeta": self._analyzer.zeta,
-            "omega_n": self._analyzer.omega_n,
-            "delay_50": self._analyzer.delay_50,
-            "rise_time": self._analyzer.rise_time,
-            "overshoot": self._analyzer.overshoot,
-            "settling": self._analyzer.settling_time,
-            "settling_time": self._analyzer.settling_time,
-        }.get(metric)
-        if method is None:
-            raise ConfigurationError(f"unknown metric {metric!r}")
-        return float(method(node))
-
-    def timing(self, node: str) -> NodeTiming:
-        return self._analyzer.timing(node)
-
-    def sums(self, node: str) -> Tuple[float, float]:
-        return self._analyzer.sums(node)
-
-    def report(self, nodes: Optional[Sequence[str]] = None) -> List[NodeTiming]:
-        return self._analyzer.report(None if nodes is None else list(nodes))
-
-
-class _TableState(SessionState):
-    """Session state backed by one immutable :class:`TimingTable`."""
-
-    def __init__(self, table: TimingTable):
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        index: Dict[str, int],
+        t_rc: np.ndarray,
+        t_lc: np.ndarray,
+        settle_band: float,
+        table: Optional[TimingTable] = None,
+    ):
+        self._names = names
+        self._index = index
+        self._t_rc = t_rc
+        self._t_lc = t_lc
+        self._settle_band = settle_band
         self._table = table
 
-    def value(self, metric: str, node: str) -> float:
-        if metric == "elmore_delay":
-            return float(elmore_delay(self._table.value("t_rc", node)))
-        return float(self._table.value(metric, node))
+    @classmethod
+    def from_source(cls, source: TreeSource, settle_band: float) -> "_TreeState":
+        """Run both Appendix passes on ``source``; no metric kernel yet."""
+        validate_settle_band(settle_band)
+        if isinstance(source, CompiledTree):
+            compiled = source
+        elif source.size == 0:
+            raise TopologyError("cannot analyze an empty tree")
+        else:
+            compiled = compile_tree(source)
+        t_rc, t_lc = compiled.second_order_sums()
+        return cls(
+            compiled.names, compiled.topology.index, t_rc, t_lc, settle_band
+        )
 
-    def timing(self, node: str) -> NodeTiming:
-        return self._table.timing(node)
+    @classmethod
+    def from_table(cls, table: TimingTable) -> "_TreeState":
+        """Wrap an already evaluated table (the sharded backend's)."""
+        m = table.metrics
+        return cls(
+            table.names, table._index, m.t_rc, m.t_lc, table.settle_band, table
+        )
 
     def sums(self, node: str) -> Tuple[float, float]:
-        return (
-            self._table.value("t_rc", node),
-            self._table.value("t_lc", node),
+        try:
+            i = self._index[node]
+        except KeyError:
+            raise TopologyError(f"unknown node {node!r}") from None
+        return float(self._t_rc[i]), float(self._t_lc[i])
+
+    def value(self, metric: str, node: str) -> float:
+        if metric == "elmore_delay":
+            return float(elmore_delay(self.sums(node)[0]))
+        if self._table is not None:
+            return self._table.value(metric, node)
+        field = _metric_field(metric)
+        t_rc, t_lc = self.sums(node)
+        check_domain(t_rc, t_lc, node)
+        return scalar_metrics(t_rc, t_lc, self._settle_band)[field]
+
+    def timing(self, node: str) -> NodeTiming:
+        if self._table is not None:
+            return self._table.timing(node)
+        t_rc, t_lc = self.sums(node)
+        check_domain(t_rc, t_lc, node)
+        return NodeTiming(
+            node=node, **scalar_metrics(t_rc, t_lc, self._settle_band)
         )
 
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[NodeTiming]:
-        return self._table.timings(nodes)
+        return self.table().timings(nodes)
 
-    def table(self) -> Optional[TimingTable]:
+    def table(self) -> TimingTable:
+        if self._table is None:
+            self._table = TimingTable(
+                names=self._names,
+                settle_band=self._settle_band,
+                metrics=metrics_from_sums(
+                    self._t_rc, self._t_lc, self._settle_band
+                ),
+                _index=self._index,
+            )
         return self._table
 
 
@@ -191,15 +225,9 @@ class _IncrementalState(SessionState):
         return self._incremental.sums(node)
 
     def report(self, nodes: Optional[Sequence[str]] = None) -> List[NodeTiming]:
-        table = self._incremental.timing_table()
-        if not fast_path_eligible(table.metrics.t_rc, table.metrics.t_lc):
-            # The table tabulates out-of-domain sums without a check; the
-            # per-node path raises their typed error, as timing() does.
-            selected = table.names if nodes is None else nodes
-            return [self._incremental.timing(node) for node in selected]
-        return table.timings(nodes)
+        return self._incremental.timing_table().timings(nodes)
 
-    def table(self) -> Optional[TimingTable]:
+    def table(self) -> TimingTable:
         return self._incremental.timing_table()
 
     def editor(self) -> IncrementalAnalyzer:
@@ -255,7 +283,14 @@ class Backend(abc.ABC):
 
 
 class ScalarBackend(Backend):
-    """The reference dict-sweep analyzer (``use_engine=False``)."""
+    """The compiled session state under the ``"scalar"`` name.
+
+    It has no engine of its own: it opens the same state as
+    :class:`CompiledBackend`, so a forced ``scalar`` route answers with
+    the default route's bits. It keeps its name and capability set for
+    the callers and registries that name it, and still takes only an
+    :class:`RLCTree` source.
+    """
 
     name = "scalar"
     # "edit" here means re-sweeping per edit: any per-tree backend can
@@ -265,17 +300,15 @@ class ScalarBackend(Backend):
     capabilities = frozenset({CAP_POINT, CAP_TABLE, CAP_EDIT})
 
     def open(self, source, settle_band, config):
-        tree = _require_tree(source, self.name)
-        return _AnalyzerState(
-            TreeAnalyzer(tree, settle_band=settle_band, use_engine=False)
+        return _TreeState.from_source(
+            _require_tree(source, self.name), settle_band
         )
 
 
 class CompiledBackend(Backend):
     """The vectorized table/batch engine.
 
-    A session is one :class:`TimingTable`, whatever the source type; a
-    tree outside the closed forms' domain gets the scalar state instead.
+    A session holds one tree's compiled sums, whatever the source type.
     """
 
     name = "compiled"
@@ -284,13 +317,7 @@ class CompiledBackend(Backend):
     )
 
     def open(self, source, settle_band, config):
-        if isinstance(source, CompiledTree):
-            return _TableState(evaluate(source, settle_band=settle_band))
-        # An empty tree takes the scalar state too, which rejects it.
-        table = timing_table(source, settle_band) if source.size else None
-        if table is None:
-            return ScalarBackend().open(source, settle_band, config)
-        return _TableState(table)
+        return _TreeState.from_source(source, settle_band)
 
     def batch(self, compiled, rlc, settle_band, metrics, config):
         return analyze_batch(
@@ -348,15 +375,18 @@ class ShardedBackend(Backend):
     )
 
     def open(self, source, settle_band, config):
+        # Out-of-domain rows stay in the table and raise when read, as on
+        # every other route, instead of failing the whole tree here.
         result = analyze_many(
             [source],
             settle_band=settle_band,
             workers=config.workers,
+            check_domain=False,
             supervision=_supervision_policy(config),
         )[0]
         if isinstance(result, ShardError):
             raise DispatchError(str(result))
-        return _TableState(result)
+        return _TreeState.from_table(result)
 
     def batch(self, compiled, rlc, settle_band, metrics, config):
         scenarios = int(rlc.shape[0])

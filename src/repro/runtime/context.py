@@ -129,7 +129,7 @@ class Session:
         with self._record():
             return self._state.report(nodes)
 
-    def table(self) -> Optional[TimingTable]:
+    def table(self) -> TimingTable:
         with self._record():
             return self._state.table()
 
@@ -276,8 +276,10 @@ class ExecutionContext:
 
         ``kind`` overrides the inferred workload kind (``"edit"`` when
         ``edits_expected`` is positive, else ``"table"``); pass
-        ``kind="point"`` for one-shot single-node queries so small
-        trees route to the scalar sweep.
+        ``kind="point"`` for one-shot single-node queries. Point and
+        table sessions open the same compiled state: its point reads
+        evaluate the O(1) kernel, its first ``table()``/``report()``
+        the vector kernel, and both give the same bits.
         """
         size = tree.size if isinstance(tree, RLCTree) else tree.topology.size
         if kind is None:

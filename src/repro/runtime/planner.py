@@ -8,8 +8,7 @@ engine* answers it, and the returned :class:`ExecutionPlan` records why
 CLI can explain a routing choice after the fact.
 
 Routing rules (first match wins), with the boundaries taken from
-:class:`~repro.runtime.config.RuntimeConfig` and, for point queries,
-the :data:`POINT_SCALAR_MAX` constant:
+:class:`~repro.runtime.config.RuntimeConfig`:
 
 ========  ============================================  ===========
 kind      condition                                     backend
@@ -23,9 +22,12 @@ batch     ``workers > 1`` and ``cells >= min_cells``    sharded
 batch     otherwise                                     compiled
 sweep     same rules as ``batch``, per chunk            sharded/compiled
 table     always (one vectorized pass)                  compiled
-point     ``tree_size <= POINT_SCALAR_MAX`` (64)        scalar
-point     otherwise                                     compiled
+point     always (compiled sums, O(1) kernel per read)  compiled
 ========  ============================================  ===========
+
+Point and table sessions share one per-tree state (the compiled sums),
+so the two rows differ only in which reads a caller is expected to
+make, never in the bits those reads return.
 
 When the sharded backend is *unavailable* — its circuit breaker
 tripped after repeated shard failures or a pool rebuild — the
@@ -47,13 +49,6 @@ from ..errors import ConfigurationError
 from .config import RuntimeConfig
 
 __all__ = ["WORKLOAD_KINDS", "Workload", "ExecutionPlan", "plan"]
-
-#: Point queries on trees of at most this many sections route to the
-#: scalar dict sweep, larger ones to the compiled table. Opening a point
-#: session plus one ``value()`` took 80 us scalar vs 243 us compiled on
-#: the 7-section fig5 tree, and 220 vs 310 us on a 64-section
-#: ``random_tree`` (median of five 2000-call medians, 2-core x86 VM).
-POINT_SCALAR_MAX = 64
 
 #: The six workload shapes the runtime routes.
 WORKLOAD_KINDS: Tuple[str, ...] = (
@@ -233,18 +228,11 @@ def plan(
         chosen = "compiled"
         reasons.append("full table -> one vectorized pass")
     else:  # point
-        if workload.tree_size <= POINT_SCALAR_MAX:
-            chosen = "scalar"
-            reasons.append(
-                f"{workload.tree_size} nodes <= POINT_SCALAR_MAX="
-                f"{POINT_SCALAR_MAX} -> dict sweep"
-            )
-        else:
-            chosen = "compiled"
-            reasons.append(
-                f"{workload.tree_size} nodes > POINT_SCALAR_MAX="
-                f"{POINT_SCALAR_MAX} -> compiled table"
-            )
+        chosen = "compiled"
+        reasons.append(
+            f"point query on {workload.tree_size} nodes -> compiled sums, "
+            "O(1) kernel per read"
+        )
     final, degrade_reasons = _degrade(chosen, unavailable)
     return ExecutionPlan(
         backend=final,

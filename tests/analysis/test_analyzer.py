@@ -171,26 +171,8 @@ class TestMixedTree:
 
 
 class TestScalarTimingBuildsModelOnce:
-    def test_from_sums_called_once_per_timing(self, fig5, monkeypatch):
-        from repro.analysis.second_order import SecondOrderModel
-
-        calls = []
-        original = SecondOrderModel.from_sums.__func__
-
-        def counting(cls, t_rc, t_lc):
-            calls.append((t_rc, t_lc))
-            return original(cls, t_rc, t_lc)
-
-        monkeypatch.setattr(
-            SecondOrderModel, "from_sums", classmethod(counting)
-        )
-        analyzer = TreeAnalyzer(fig5, use_engine=False)
-        timing = analyzer.timing("n7")
-        assert math.isfinite(timing.delay_50)
-        assert len(calls) == 1
-
     def test_scalar_timing_matches_individual_accessors(self, fig5):
-        analyzer = TreeAnalyzer(fig5, use_engine=False)
+        analyzer = TreeAnalyzer(fig5)
         for node in fig5.nodes:
             timing = analyzer.timing(node)
             assert timing.zeta == analyzer.zeta(node)

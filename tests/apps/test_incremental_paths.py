@@ -69,12 +69,6 @@ class TestBufferInsertionIncremental:
             intrinsic_delay=15e-12,
         )
 
-    def test_driving_delays_matches_scalar_bitwise(self, buffer_cell):
-        loads = default_rng(3).uniform(0.0, 1e-12, 50)
-        vector = buffer_cell.driving_delays(loads)
-        for k, load in enumerate(loads):
-            assert vector[k] == buffer_cell.driving_delay(float(load))
-
     @pytest.mark.parametrize("model", ["rc", "rlc"])
     def test_line_matches_escape_hatch(self, buffer_cell, model):
         line = single_line(

@@ -139,3 +139,89 @@ def dict_exact_moments(tree, order):
         before_previous = previous
         previous = current
     return moments
+
+
+# -- the dict closed-form oracle --------------------------------------------
+#
+# The Appendix's two passes as a name-keyed dict sweep, and the per-node
+# closed forms as ``math``/``SecondOrderModel`` scalar code, kept
+# independent of the engine's compiled passes and kernels so the two can
+# be compared (they agree to ~1e-14 relative, not bitwise: the passes
+# associate the subtree additions differently).
+
+
+def dict_capacitive_loads(tree):
+    """Total capacitance driven by each section (``Cal_Cap_Loads``), by
+    one postorder sweep with additions only."""
+    loads = {}
+    for name in tree.postorder():
+        total = tree.section(name).capacitance
+        for child in tree.children(name):
+            total += loads[child]
+        loads[name] = total
+    return loads
+
+
+def dict_second_order_sums(tree):
+    """``(T_RC, T_LC)`` per node name (eqs. 26-27): ``Cal_Summations``
+    as one preorder sweep over :func:`dict_capacitive_loads`."""
+    loads = dict_capacitive_loads(tree)
+    t_rc = {}
+    t_lc = {}
+    for name in tree.preorder():
+        section = tree.section(name)
+        parent = tree.parent(name)
+        up_rc = t_rc[parent] if parent != tree.root else 0.0
+        up_lc = t_lc[parent] if parent != tree.root else 0.0
+        t_rc[name] = up_rc + section.resistance * loads[name]
+        t_lc[name] = up_lc + section.inductance * loads[name]
+    return t_rc, t_lc
+
+
+def scalar_timing(node, t_rc, t_lc, settle_band=0.1):
+    """Every closed-form metric of one node from its sums, scalar code."""
+    import math
+
+    from repro.analysis import NodeTiming, SecondOrderModel
+    from repro.analysis.delay import elmore_delay, wyatt_rise_time
+    from repro.analysis.fitting import scaled_delay, scaled_rise
+    from repro.analysis.oscillation import overshoot_train, settling_time
+
+    if t_lc == 0.0:
+        return NodeTiming(
+            node=node,
+            t_rc=t_rc,
+            t_lc=t_lc,
+            zeta=math.inf,
+            omega_n=math.inf,
+            delay_50=elmore_delay(t_rc),
+            rise_time=wyatt_rise_time(t_rc),
+            overshoot=0.0,
+            settling=-math.log(settle_band) * t_rc,
+        )
+    model = SecondOrderModel.from_sums(t_rc, t_lc)
+    if model.zeta < 1.0:
+        train = overshoot_train(model, max_count=1)
+        overshoot = train[0].fraction if train else 0.0
+    else:
+        overshoot = 0.0
+    return NodeTiming(
+        node=node,
+        t_rc=t_rc,
+        t_lc=t_lc,
+        zeta=0.5 * t_rc / math.sqrt(t_lc),
+        omega_n=model.omega_n,
+        delay_50=scaled_delay(model.zeta) / model.omega_n,
+        rise_time=scaled_rise(model.zeta) / model.omega_n,
+        overshoot=overshoot,
+        settling=settling_time(model, settle_band),
+    )
+
+
+def scalar_report(tree, settle_band=0.1):
+    """:func:`scalar_timing` at every node over :func:`dict_second_order_sums`."""
+    t_rc, t_lc = dict_second_order_sums(tree)
+    return [
+        scalar_timing(node, t_rc[node], t_lc[node], settle_band)
+        for node in tree.nodes
+    ]

@@ -15,6 +15,8 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError, ReductionError, TopologyError
 
+from ..conftest import scalar_report
+
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
@@ -49,9 +51,8 @@ class TestBatchMatchesLoop:
         assert batch.scenarios == 6
         for s in range(6):
             tree = scenario_tree(random_rlc, compiled.names, block[s])
-            scalar = TreeAnalyzer(tree, use_engine=False)
-            for node in random_rlc.nodes:
-                want = scalar.timing(node)
+            for want in scalar_report(tree):
+                node = want.node
                 got = batch.scenario(s)
                 assert got.value("delay_50", node) == pytest.approx(
                     want.delay_50, rel=1e-12
@@ -94,10 +95,9 @@ class TestBatchMatchesLoop:
         compiled = compile_tree(fig5)
         batch = analyze_batch(compiled, capacitance=compiled.capacitance)
         assert batch.scenarios == 1
-        scalar = TreeAnalyzer(fig5, use_engine=False)
-        for node in fig5.nodes:
-            assert batch.column("delay_50", node)[0] == pytest.approx(
-                scalar.delay_50(node), rel=1e-12
+        for want in scalar_report(fig5):
+            assert batch.column("delay_50", want.node)[0] == pytest.approx(
+                want.delay_50, rel=1e-12
             )
 
 
@@ -214,7 +214,7 @@ class TestSettleBandDomain:
         with pytest.raises(ConfigurationError) as engine_err:
             evaluate(compile_tree(fig5), settle_band=2.0)
         with pytest.raises(ConfigurationError) as scalar_err:
-            TreeAnalyzer(fig5, settle_band=2.0, use_engine=False)
+            TreeAnalyzer(fig5, settle_band=2.0)
         assert str(engine_err.value) == str(scalar_err.value)
 
     def test_boundaries_of_valid_domain_accepted(self, fig5):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.moments import capacitive_loads, second_order_sums
 from repro.circuit import RLCTree, Section
 from repro.engine import (
     clear_topology_cache,
@@ -13,7 +12,12 @@ from repro.engine import (
 )
 from repro.errors import ReductionError, TopologyError
 
-from ..conftest import dict_exact_moments, weighted_path_sums
+from ..conftest import (
+    dict_capacitive_loads,
+    dict_exact_moments,
+    dict_second_order_sums,
+    weighted_path_sums,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +68,7 @@ class TestSweepsMatchDicts:
     def test_capacitive_loads(self, fig5, random_rlc):
         for tree in (fig5, random_rlc):
             compiled = compile_tree(tree)
-            expected = capacitive_loads(tree)
+            expected = dict_capacitive_loads(tree)
             got = as_dict(
                 compiled, compiled.topology.accumulate(compiled.capacitance)
             )
@@ -73,7 +77,7 @@ class TestSweepsMatchDicts:
     def test_second_order_sums(self, fig5, random_rlc, rc_line):
         for tree in (fig5, random_rlc, rc_line):
             compiled = compile_tree(tree)
-            t_rc, t_lc = second_order_sums(tree)
+            t_rc, t_lc = dict_second_order_sums(tree)
             got_rc, got_lc = compiled.second_order_sums()
             assert as_dict(compiled, got_rc) == pytest.approx(t_rc, rel=1e-12)
             assert as_dict(compiled, got_lc) == pytest.approx(t_lc, rel=1e-12)
@@ -301,7 +305,7 @@ class TestAccumulatePrecision:
         tree.add_section("s0", "small", resistance=0.1, inductance=1e-12,
                          capacitance=1e-16)
         compiled = compile_tree(tree, cache=False)
-        expected = capacitive_loads(tree)
+        expected = dict_capacitive_loads(tree)
         got = compiled.topology.accumulate(compiled.capacitance)
         for i, name in enumerate(compiled.names):
             assert float(got[i]) == pytest.approx(
@@ -318,7 +322,7 @@ class TestAccumulatePrecision:
             tree.add_section(f"fat{k}", "a", resistance=1e4,
                              inductance=1e-7, capacitance=1e-10)
         compiled = compile_tree(tree, cache=False)
-        t_rc_ref, t_lc_ref = second_order_sums(tree)
+        t_rc_ref, t_lc_ref = dict_second_order_sums(tree)
         t_rc, t_lc = compiled.second_order_sums()
         for i, name in enumerate(compiled.names):
             assert float(t_rc[i]) == pytest.approx(

@@ -4,7 +4,7 @@ Every assertion here has the same shape: apply edits through
 :class:`IncrementalAnalyzer`, then compare against a full recompute of
 the analyzer's own :meth:`snapshot` — the oracle the module docstring
 promises agreement with. Point queries are additionally pinned to the
-vectorized table *bitwise* (``==``, not approx): ``_scalar_metrics``
+vectorized table *bitwise* (``==``, not approx): ``scalar_metrics``
 runs the same ``np.float64`` scalar-ufunc operations as
 ``metrics_from_sums``, so any drift between the two paths is a bug.
 """
@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.apps.buffer_insertion import wire_segment_delay
 from repro.circuit import RLCTree, Section, fig5_tree, random_tree
 from repro.engine import (
     EditSession,
@@ -25,7 +24,6 @@ from repro.engine import (
     compile_tree,
     evaluate,
     incremental_cache_info,
-    segment_delays,
 )
 from repro.errors import (
     ConfigurationError,
@@ -596,39 +594,3 @@ class TestCounters:
         assert set(info) == {"topology", "incremental"}
         assert info["incremental"]["analyzers"] == 1
         assert "preorder_builds" in info["topology"]
-
-
-class TestSegmentDelays:
-    def test_matches_scalar_bitwise(self, rng):
-        n = 64
-        r = rng.uniform(1.0, 1e3, n)
-        l = rng.uniform(1e-11, 1e-8, n)
-        c = rng.uniform(1e-15, 1e-12, n)
-        loads = rng.uniform(0.0, 1e-12, n)
-        for model in ("rc", "rlc"):
-            vector = segment_delays(r, l, c, loads, model)
-            for k in range(n):
-                assert vector[k] == wire_segment_delay(
-                    r[k], l[k], c[k], loads[k], model
-                ), (model, k)
-
-    def test_scalar_elements_broadcast(self):
-        loads = np.array([1e-13, 2e-13, 0.0])
-        vector = segment_delays(100.0, 1e-9, 1e-13, loads)
-        for k, load in enumerate(loads):
-            assert vector[k] == wire_segment_delay(
-                100.0, 1e-9, 1e-13, float(load), "rlc"
-            )
-
-    def test_nonpositive_total_load_is_zero(self):
-        vector = segment_delays(100.0, 1e-9, 0.0, np.array([0.0, 1e-13]))
-        assert vector[0] == 0.0
-        assert vector[1] > 0.0
-
-    def test_unknown_model_raises(self):
-        with pytest.raises(ConfigurationError):
-            segment_delays(1.0, 0.0, 1e-13, np.array([1e-13]), model="elmore")
-
-    def test_bad_live_lane_raises(self):
-        with pytest.raises(ElementValueError):
-            segment_delays(0.0, 1e-9, 1e-13, np.array([1e-13]))

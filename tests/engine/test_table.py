@@ -1,4 +1,4 @@
-"""TimingTable vs the scalar analyzer, and fast-path eligibility."""
+"""TimingTable vs the dict closed-form oracle, and the domain check."""
 
 import math
 
@@ -8,14 +8,17 @@ import pytest
 from repro.analysis import TreeAnalyzer
 from repro.circuit import single_line
 from repro.engine import (
+    check_domain,
     clear_topology_cache,
     compile_tree,
     evaluate,
     fast_path_eligible,
     timing_table,
 )
-from repro.errors import ReductionError, TopologyError
+from repro.errors import ElementValueError, ReductionError, TopologyError
 from repro.robustness.faults import _bypass
+
+from ..conftest import dict_second_order_sums, scalar_report
 
 METRICS = (
     "t_rc",
@@ -46,9 +49,8 @@ class TestTableMatchesScalar:
     def test_every_metric_every_node(self, fig5, random_rlc, rc_line, line3):
         for tree in (fig5, random_rlc, rc_line, line3):
             table = timing_table(tree)
-            scalar = TreeAnalyzer(tree, use_engine=False)
-            for node in tree.nodes:
-                timing = scalar.timing(node)
+            for timing in scalar_report(tree):
+                node = timing.node
                 for metric in METRICS:
                     got = table.value(metric, node)
                     want = getattr(timing, metric)
@@ -70,10 +72,10 @@ class TestTableMatchesScalar:
 
     def test_elmore_delay_column(self, fig5):
         table = timing_table(fig5)
-        scalar = TreeAnalyzer(fig5, use_engine=False)
+        t_rc, _ = dict_second_order_sums(fig5)
         for i, node in enumerate(table.names):
             assert rel_err(
-                float(table.metrics.elmore_delay[i]), scalar.elmore_delay(node)
+                float(table.metrics.elmore_delay[i]), math.log(2.0) * t_rc[node]
             ) <= 1e-12
 
     def test_unknown_metric_rejected(self, fig5):
@@ -86,10 +88,9 @@ class TestTableMatchesScalar:
 
     def test_timings_match_report(self, fig5):
         table = timing_table(fig5)
-        scalar = TreeAnalyzer(fig5, use_engine=False)
         rows = table.timings()
         assert [row.node for row in rows] == list(fig5.nodes)
-        for row, want in zip(rows, scalar.report()):
+        for row, want in zip(rows, scalar_report(fig5)):
             assert rel_err(row.delay_50, want.delay_50) <= 1e-12
 
     def test_settle_band_respected(self, fig5):
@@ -105,13 +106,33 @@ class TestEligibility:
             if name == "n3"
             else s
         )
-        assert timing_table(bad) is None
+        table = timing_table(bad)
+        assert not fast_path_eligible(table.t_rc, table.t_lc)
+        # The row stays in the table as NaN; reading it raises.
+        assert math.isnan(table.column("delay_50")[table.index("n3")])
+        with pytest.raises(ElementValueError, match="'n3'"):
+            table.value("delay_50", "n3")
+        with pytest.raises(ElementValueError):
+            table.timings()
 
     def test_eligibility_predicate(self):
         assert fast_path_eligible(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
         assert not fast_path_eligible(np.array([1.0]), np.array([-1.0]))
         assert not fast_path_eligible(np.array([0.0]), np.array([1.0]))
         assert not fast_path_eligible(np.array([np.nan]), np.array([1.0]))
+
+    def test_check_domain_per_row(self):
+        for t_rc, t_lc in ((1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
+            check_domain(t_rc, t_lc, "a")
+        for t_rc, t_lc in (
+            (0.0, 1.0),
+            (-1.0, 0.0),
+            (1.0, -1.0),
+            (float("nan"), 1.0),
+            (1.0, float("inf")),
+        ):
+            with pytest.raises(ElementValueError, match="'a'"):
+                check_domain(t_rc, t_lc, "a")
 
     def test_evaluate_skips_domain_checks(self, fig5):
         table = evaluate(compile_tree(fig5))
@@ -122,10 +143,6 @@ class TestAnalyzerIntegration:
     def test_fast_path_engaged_on_clean_tree(self, fig5):
         analyzer = TreeAnalyzer(fig5)
         assert analyzer.timing_table() is not None
-
-    def test_use_engine_false_disables(self, fig5):
-        analyzer = TreeAnalyzer(fig5, use_engine=False)
-        assert analyzer.timing_table() is None
 
     def test_accessors_read_the_table(self, fig5):
         analyzer = TreeAnalyzer(fig5)
@@ -139,9 +156,8 @@ class TestAnalyzerIntegration:
 
     def test_engine_vs_scalar_analyzer(self, random_rlc):
         fast = TreeAnalyzer(random_rlc)
-        slow = TreeAnalyzer(random_rlc, use_engine=False)
-        for node in random_rlc.nodes:
-            a, b = fast.timing(node), slow.timing(node)
+        for b in scalar_report(random_rlc):
+            a = fast.timing(b.node)
             for metric in METRICS:
                 assert rel_err(getattr(a, metric), getattr(b, metric)) <= 1e-12
 
@@ -169,7 +185,7 @@ class TestAnalyzerIntegration:
             1, resistance=10.0, inductance=2e-9, capacitance=0.2e-12
         )
         fast = TreeAnalyzer(tree)
-        slow = TreeAnalyzer(tree, use_engine=False)
+        (slow,) = scalar_report(tree)
         assert fast.timing("n1").delay_50 == pytest.approx(
-            slow.timing("n1").delay_50, rel=1e-12
+            slow.delay_50, rel=1e-12
         )

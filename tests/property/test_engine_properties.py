@@ -1,9 +1,9 @@
 """Property tests pinning the vectorized engine to its references.
 
 Three implementations of the same mathematics must agree on arbitrary
-topologies: the engine's level-vectorized sweeps, the dict-based O(n)
-recursion of :mod:`repro.analysis.moments`, and the O(n^2) path-tracing
-oracle of :mod:`repro.circuit.paths`. The tolerance is 1e-12 relative —
+topologies: the engine's level-vectorized sweeps and kernels, the
+dict-based O(n) sweep and scalar closed forms of ``tests/conftest.py``,
+and the O(n^2) path-tracing oracle of :mod:`repro.circuit.paths`. The tolerance is 1e-12 relative —
 the engine's segmented ``cumsum`` may associate sums differently than
 the sequential dict loop, but only at the few-ulp level.
 """
@@ -13,13 +13,15 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import TreeAnalyzer, second_order_sums
+from repro.analysis import TreeAnalyzer
 from repro.circuit import RLCTree, Section
 from repro.circuit.paths import (
     all_elmore_inductance_sums,
     all_elmore_resistance_sums,
 )
 from repro.engine import compile_tree, timing_table
+
+from tests.conftest import dict_second_order_sums, scalar_timing
 
 RELTOL = 1e-12
 
@@ -74,14 +76,12 @@ def check_tree(tree):
     compiled = compile_tree(tree, cache=False)
     t_rc_vec, t_lc_vec = compiled.second_order_sums()
 
-    t_rc_dict, t_lc_dict = second_order_sums(tree)
+    t_rc_dict, t_lc_dict = dict_second_order_sums(tree)
     oracle_rc = all_elmore_resistance_sums(tree)
     oracle_lc = all_elmore_inductance_sums(tree)
 
     fast = TreeAnalyzer(tree)
-    slow = TreeAnalyzer(tree, use_engine=False)
     table = timing_table(tree, cache=False)
-    assert table is not None
 
     for i, node in enumerate(compiled.names):
         assert_close(float(t_rc_vec[i]), t_rc_dict[node], ("t_rc/dict", node))
@@ -89,7 +89,9 @@ def check_tree(tree):
         assert_close(float(t_rc_vec[i]), oracle_rc[node], ("t_rc/oracle", node))
         assert_close(float(t_lc_vec[i]), oracle_lc[node], ("t_lc/oracle", node))
 
-        a, b = fast.timing(node), slow.timing(node)
+        a = fast.timing(node)
+        b = scalar_timing(node, t_rc_dict[node], t_lc_dict[node])
+        assert a == table.timing(node), node
         for metric in (
             "zeta",
             "omega_n",
@@ -157,7 +159,7 @@ def test_cache_never_serves_stale_values(tree, scale):
         assert second.inductance[i] == section.inductance
         assert second.capacitance[i] == section.capacitance
 
-    t_rc_dict, t_lc_dict = second_order_sums(perturbed)
+    t_rc_dict, t_lc_dict = dict_second_order_sums(perturbed)
     t_rc_vec, t_lc_vec = second.second_order_sums()
     for i, name in enumerate(second.names):
         assert_close(float(t_rc_vec[i]), t_rc_dict[name], ("t_rc", name))

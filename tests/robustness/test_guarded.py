@@ -170,6 +170,77 @@ class TestFallbackChain:
         assert isinstance(excinfo.value, ReproError)
 
 
+class TestEscalationCost:
+    """An escalated row builds one AWE model and the exact tier has a
+    state budget; neither changes what the reports record."""
+
+    @pytest.fixture
+    def awe_calls(self, monkeypatch):
+        from repro.reduction import awe
+
+        calls = []
+        original = awe.awe_step_metrics
+
+        def counting(tree, node, **kwargs):
+            calls.append(node)
+            return original(tree, node, **kwargs)
+
+        monkeypatch.setattr(awe, "awe_step_metrics", counting)
+        return calls
+
+    @pytest.mark.parametrize("tree_name", ["fig5", "zero-capacitance"])
+    def test_awe_model_built_once_per_node(self, fig5, awe_calls, tree_name):
+        # fig5: AWE answers; the zero-capacitance line: AWE fails, and the
+        # memoized failure is what every metric's attempt records.
+        if tree_name == "fig5":
+            tree, chain = fig5, ("awe",)
+        else:
+            tree = single_line(3, resistance=10.0, inductance=0.0,
+                               capacitance=0.0)
+            chain = ("awe", "exact")
+        rows = GuardedAnalyzer(tree, chain=chain).report()
+        assert sorted(awe_calls) == sorted(tree.nodes)
+        for row in rows:
+            for report in row.reports:
+                # One analyzer per query builds the model afresh.
+                alone = GuardedAnalyzer(tree, chain=chain).query(
+                    report.metric, row.node
+                )
+                assert report == alone
+                assert str(report) == str(alone)
+
+    def test_exact_tier_declines_a_tree_over_budget(self, monkeypatch):
+        from repro.robustness import guarded as module
+
+        tree = single_line(3, resistance=10.0, inductance=1e-9,
+                           capacitance=1e-12)  # 6 states
+        monkeypatch.setattr(module, "EXACT_STATE_BUDGET", 5)
+        built = []
+        monkeypatch.setattr(
+            GuardedAnalyzer, "_exact_backend",
+            lambda self, attempt: built.append(attempt),
+        )
+        guarded = GuardedAnalyzer(tree, chain=("exact",))
+        with pytest.raises(FallbackExhaustedError) as excinfo:
+            guarded.query("delay_50", tree.nodes[-1])
+        (attempt,) = excinfo.value.attempts
+        assert attempt.status == "failed"
+        assert attempt.detail.startswith("SimulationError: over budget: 6")
+        assert built == []
+
+    def test_exact_tier_simulates_at_the_budget(self, monkeypatch):
+        from repro.robustness import guarded as module
+
+        tree = single_line(3, resistance=10.0, inductance=1e-9,
+                           capacitance=1e-12)
+        monkeypatch.setattr(module, "EXACT_STATE_BUDGET", 6)
+        report = GuardedAnalyzer(tree, chain=("exact",)).query(
+            "delay_50", tree.nodes[-1]
+        )
+        assert report.tier == "exact"
+        assert report.attempts[0].status == "ok"
+
+
 class TestStiffTreeAcceptance:
     """ISSUE acceptance: >= 1e12 element spread, 1% agreement."""
 

@@ -250,7 +250,8 @@ class TestMaskedRowsEscalate:
 
 
 class TestFallbackCasesWalkPerQuery:
-    """Without a usable table every metric walks the chain, as before."""
+    """Every route's session holds the table; only a chain that does not
+    open with ``closed-form`` walks every metric."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -268,10 +269,16 @@ class TestFallbackCasesWalkPerQuery:
         GuardedAnalyzer(fig5_tree(), context=ctx).report()
         assert walks == []
 
+    def test_scalar_session_reads_the_table(self, walks):
+        tree = fig5_tree()
+        config = RuntimeConfig(backend="scalar")
+        rows = GuardedAnalyzer(tree, config=config).report()
+        assert walks == []
+        assert rows == GuardedAnalyzer(tree).report()
+
     @pytest.mark.parametrize("options", [
-        {"config": RuntimeConfig(backend="scalar")},
         {"chain": ("awe", "exact")},
-    ], ids=["scalar", "no-closed-form"])
+    ], ids=["no-closed-form"])
     def test_fallback_walks_every_query(self, walks, options):
         tree = fig5_tree()
         guarded = GuardedAnalyzer(tree, **options)

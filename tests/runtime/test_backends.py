@@ -3,7 +3,9 @@
 The acceptance bar for routing: every backend answers every metric with
 **bitwise-identical** values on in-domain trees, so the planner's choice
 is purely a cost decision. These tests pin that equivalence on the
-paper's Fig. 5 tree, for sessions and for batches.
+paper's Fig. 5 tree, for sessions and for batches; the differential
+oracle (``tests/integration/test_differential.py``) pins every field's
+bits across every route on larger trees.
 """
 
 import numpy as np
@@ -75,7 +77,7 @@ class TestSessionEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        """Node -> metric -> value from the forced scalar sweep."""
+        """Node -> metric -> value from a forced scalar session."""
         from repro.circuit import fig5_tree
 
         tree = fig5_tree()
@@ -182,6 +184,51 @@ class TestSessionEquivalence:
                 session.timing("a")
             with pytest.raises(ElementValueError):
                 session.report()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_out_of_domain_row_raises_alone(self, backend):
+        # R = 0 on one branch: T_RC = 0 < T_LC at "a" only. Every route
+        # opens the session, raises the row's typed error, and answers
+        # the healthy row.
+        from repro.circuit import RLCTree
+        from repro.errors import ElementValueError
+
+        tree = RLCTree()
+        tree.add_section("a", "in", resistance=0.0, inductance=1e-9,
+                         capacitance=1e-12)
+        tree.add_section("b", "in", resistance=1.0, inductance=1e-9,
+                         capacitance=1e-12)
+        with ExecutionContext() as context:
+            session = context.session(tree, backend=backend)
+            with pytest.raises(ElementValueError, match="'a'"):
+                session.value("delay_50", "a")
+            assert session.value("delay_50", "b") == (
+                context.session(tree).timing("b").delay_50
+            )
+            assert session.sums("a")[0] == 0.0
+
+    @pytest.mark.parametrize("backend", ["scalar", "compiled"])
+    def test_point_reads_skip_the_vector_kernel(
+        self, fig5, monkeypatch, backend
+    ):
+        from repro.runtime import backends
+
+        calls = []
+        original = backends.metrics_from_sums
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(backends, "metrics_from_sums", counting)
+        session = ExecutionContext().session(fig5, backend=backend,
+                                             kind="point")
+        session.value("delay_50", "n7")
+        session.timing("n7")
+        assert calls == []  # the O(1) twin served both reads
+        session.report()
+        session.report()
+        assert len(calls) == 1  # the table is evaluated once
 
     def test_editor_only_on_incremental(self, fig5):
         context = ExecutionContext()

@@ -20,7 +20,7 @@ class TestSessions:
     def test_kind_inference(self, fig5):
         context = ExecutionContext()
         assert context.session(fig5).backend == "compiled"  # table
-        assert context.session(fig5, kind="point").backend == "scalar"
+        assert context.session(fig5, kind="point").backend == "compiled"
         assert context.session(fig5, edits_expected=5).backend == "incremental"
 
     def test_forced_backend_beats_inference(self, fig5):
@@ -36,7 +36,7 @@ class TestSessions:
 
     def test_plan_provenance_reaches_caller(self, fig5):
         session = ExecutionContext().session(fig5, kind="point")
-        assert "POINT_SCALAR_MAX" in session.plan.reasons[0]
+        assert "point query" in session.plan.reasons[0]
 
 
 class TestStats:
@@ -49,8 +49,9 @@ class TestStats:
         editor.value("delay_50", "n7")
 
         stats = context.stats()
-        assert stats["dispatch"]["scalar"] == 2  # open + one value
-        assert stats["dispatch"]["compiled"] == 2  # open + report
+        # point open + one value, table open + report
+        assert stats["dispatch"]["compiled"] == 4
+        assert "scalar" not in stats["dispatch"]
         assert stats["dispatch"]["incremental"] == 1  # open (direct edits)
         assert stats["workloads"]["point"] == 2
         assert stats["workloads"]["table"] == 2

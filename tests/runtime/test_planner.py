@@ -29,9 +29,9 @@ class TestAutoRouting:
     @pytest.mark.parametrize(
         "workload, config, expected",
         [
-            # point: scalar up to and including POINT_SCALAR_MAX (64)
-            (Workload("point", tree_size=1), RuntimeConfig(), "scalar"),
-            (Workload("point", tree_size=64), RuntimeConfig(), "scalar"),
+            # point: compiled at every size (one state for point and table)
+            (Workload("point", tree_size=1), RuntimeConfig(), "compiled"),
+            (Workload("point", tree_size=64), RuntimeConfig(), "compiled"),
             (Workload("point", tree_size=65), RuntimeConfig(), "compiled"),
             # a worker budget never shards a point query
             (
@@ -97,7 +97,7 @@ class TestAutoRouting:
 
     def test_reasons_are_human_readable(self):
         decision = plan(Workload("point", tree_size=65))
-        assert "POINT_SCALAR_MAX" in decision.reasons[0]
+        assert "point query" in decision.reasons[0]
         assert "65" in decision.reasons[0]
         assert "point -> compiled [auto]" in str(decision)
 
