@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import SimulationError
 from ..simulation.sources import (
@@ -80,6 +79,8 @@ def input_crossing(source: Source, level: float) -> float:
             hi *= 2.0
         else:
             raise SimulationError("input never reaches the threshold")
+        from scipy.optimize import brentq
+
         return float(brentq(error, 0.0, hi, xtol=1e-18, rtol=1e-12))
     raise SimulationError(f"unsupported source type {type(source).__name__}")
 
@@ -124,6 +125,8 @@ def _response_crossing(
         if above.size and above[0] > 0:
             lo = samples[above[0] - 1]
             hi = samples[above[0]]
+            from scipy.optimize import brentq
+
             return float(brentq(value, lo, hi, xtol=1e-20, rtol=1e-13))
         if above.size and above[0] == 0:
             return 0.0

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from ..errors import FittingError
 from .second_order import SecondOrderModel
@@ -94,6 +93,8 @@ def scaled_threshold_crossing(zeta: float, level: float) -> float:
         raise FittingError(f"threshold level must be in (0, 1), got {level!r}")
     if zeta <= 0.0 or not math.isfinite(zeta):
         raise FittingError(f"zeta must be positive and finite, got {zeta!r}")
+    from scipy.optimize import brentq
+
     model = SecondOrderModel(zeta, 1.0)
 
     def error(tau: float) -> float:
@@ -197,6 +198,8 @@ def _fit_metric(
     if grid.size < 8:
         raise FittingError("fit grid needs at least 8 zeta points")
     values = np.array([metric(z) for z in grid])
+    from scipy.optimize import curve_fit
+
     try:
         coefficients, _ = curve_fit(
             _FORMS[form],

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..circuit.builders import balanced_tree
 from ..circuit.elements import Section
@@ -129,7 +128,9 @@ class SkewReport:
         model = [delays[s] for s in self.sinks]
         if len(self.sinks) < 3:
             raise ReproError("rank correlation needs at least 3 sinks")
-        rho = stats.spearmanr(exact, model).statistic
+        from scipy.stats import spearmanr
+
+        rho = spearmanr(exact, model).statistic
         return float(rho)
 
     @property

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Tuple
 
-from scipy.optimize import minimize_scalar
-
 from ..circuit.builders import distributed_line
 from ..circuit.elements import Section
 from ..circuit.tree import RLCTree
@@ -232,6 +230,7 @@ def optimize_repeaters(
     if model not in ("rc", "rlc"):
         raise ReproError(f"unknown delay model {model!r}; use 'rc' or 'rlc'")
     runtime = resolve_context(context, config)
+    from scipy.optimize import minimize_scalar
 
     best: Tuple[float, int, float] | None = None
     rising_streak = 0

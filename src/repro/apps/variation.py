@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..analysis.sensitivity import delay_sensitivities
 from ..circuit.elements import Section
@@ -150,11 +149,11 @@ class VariationStudy:
                 "rank correlation needs at least 2 exact samples, got "
                 f"{self.exact.values.size}"
             )
+        from scipy.stats import spearmanr
+
         candidate = self.rlc if model == "rlc" else self.rc
         n = self.exact.values.size
-        rho = stats.spearmanr(
-            self.exact.values, candidate.values[:n]
-        ).statistic
+        rho = spearmanr(self.exact.values, candidate.values[:n]).statistic
         return float(rho)
 
 

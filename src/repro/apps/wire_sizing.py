@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..circuit.builders import distributed_line
 from ..circuit.elements import Section
@@ -394,6 +393,8 @@ def optimize_width(
             evaluations += 1
             with runtime.track(decision.backend, "edit"):
                 return problem.delay(width, model)
+
+    from scipy.optimize import minimize_scalar
 
     result = minimize_scalar(
         objective,

@@ -280,6 +280,7 @@ class IncrementalAnalyzer:
         self._settle_band = settle_band
         self._flush_threshold = flush_threshold
         self._cache = cache
+        self._generation = 0
         self._load_compiled(compiled)
         _bump("analyzers")
 
@@ -316,6 +317,13 @@ class IncrementalAnalyzer:
     @property
     def flush_threshold(self) -> float:
         return self._flush_threshold
+
+    @property
+    def generation(self) -> int:
+        """Edit counter: it changes whenever an edit, a bulk load or a
+        recompute changes the sums, so a table read at one generation
+        stays current until it moves."""
+        return self._generation
 
     @property
     def pending_edits(self) -> int:
@@ -384,6 +392,7 @@ class IncrementalAnalyzer:
         self._stale_roots.clear()
         self._stale_weight = 0
         self._metrics = None
+        self._generation += 1
         _bump("full_recomputes")
 
     def recompute(self) -> None:
@@ -549,6 +558,7 @@ class IncrementalAnalyzer:
             offset[1] += dlc
 
     def _mark_stale(self, slot: int) -> None:
+        self._generation += 1
         if slot not in self._stale_roots:
             _, position, end = self._topology.preorder_layout()
             self._stale_roots.add(slot)

@@ -318,6 +318,11 @@ class GuardedAnalyzer:
         # A finite table row answers the first tier only when the chain
         # opens with it; otherwise every row walks the chain.
         self._table_answers = chain[0] == "closed-form"
+        # The session's table and its row columns as lists, held until
+        # the session's edit generation moves (see _read_table).
+        self._table = None
+        self._columns: Tuple[list, ...] = ()
+        self._table_generation = -1
         # One AWE model per escalated node, failures included: node ->
         # (AweMetrics, None) or (None, the exception it raised).
         self._awe_cache: Dict[str, Tuple[object, Optional[BaseException]]] = {}
@@ -351,7 +356,7 @@ class GuardedAnalyzer:
             )
         self._check_node(node)
         if self._table_answers:
-            table = self._session.table()
+            table = self._read_table()
             i = table.index(node)
             if _finite_row(table.metrics, i):
                 return _closed_form_report(
@@ -389,37 +394,38 @@ class GuardedAnalyzer:
         table. Raises :class:`~repro.errors.TopologyError` for an
         unknown node or the root before any node walks the chain.
         """
-        table = self._session.table()
+        table = self._read_table()
         answers = self._table_answers
-        m = table.metrics
+        columns = self._columns
         if nodes is not None:
-            # Scalar reads per row: timing() passes one node, and
-            # fancy-indexing ten columns per call triples a per-node loop.
+            # List reads per row: timing() passes one node, and each
+            # array index it saves counts in a per-node loop.
             isfinite = math.isfinite
+            t_rc, t_lc, zeta, omega_n, delay, rise, over, settle = columns
             rows = []
             for node in nodes:
                 self._check_node(node)
                 i = table.index(node)
-                delay = float(m.delay_50[i])
-                rise = float(m.rise_time[i])
-                over = float(m.overshoot[i])
-                settle = float(m.settling[i])
+                row_delay = delay[i]
+                row_rise = rise[i]
+                row_over = over[i]
+                row_settle = settle[i]
                 rows.append((
                     node,
-                    # _finite_row on the floats already read: this loop is
-                    # timing()'s body, so each saved array index counts.
-                    answers and isfinite(delay) and isfinite(rise)
-                    and isfinite(over) and isfinite(settle),
-                    float(m.t_rc[i]),
-                    float(m.t_lc[i]),
-                    float(m.zeta[i]),
-                    float(m.omega_n[i]),
-                    delay,
-                    rise,
-                    over,
-                    settle,
+                    # _finite_row on the floats already read.
+                    answers and isfinite(row_delay) and isfinite(row_rise)
+                    and isfinite(row_over) and isfinite(row_settle),
+                    t_rc[i],
+                    t_lc[i],
+                    zeta[i],
+                    omega_n[i],
+                    row_delay,
+                    row_rise,
+                    row_over,
+                    row_settle,
                 ))
             return self._table_rows(rows)
+        m = table.metrics
         finite = (
             np.isfinite(m.delay_50)
             & np.isfinite(m.rise_time)
@@ -427,20 +433,37 @@ class GuardedAnalyzer:
             & np.isfinite(m.settling)
             & answers
         )
-        return self._table_rows(zip(
-            table.names,
-            finite.tolist(),
-            m.t_rc.tolist(),
-            m.t_lc.tolist(),
-            m.zeta.tolist(),
-            m.omega_n.tolist(),
-            m.delay_50.tolist(),
-            m.rise_time.tolist(),
-            m.overshoot.tolist(),
-            m.settling.tolist(),
-        ))
+        return self._table_rows(zip(table.names, finite.tolist(), *columns))
 
     # -- the table-backed closed-form tier ------------------------------------
+
+    def _read_table(self):
+        """The session's table, resolved once per edit generation.
+
+        Every call counts one dispatch, as a ``Session.table()`` call
+        does; only a new generation (an incremental session's edit)
+        pays for the resolve again, and for ``_columns``: the table's
+        ``t_rc, t_lc, zeta, omega_n, delay_50, rise_time, overshoot,
+        settling`` columns as lists, which :meth:`report` reads rows
+        from.
+        """
+        session = self._session
+        generation = session.generation
+        if generation != self._table_generation:
+            table = session.table()
+            m = table.metrics
+            self._columns = tuple(
+                column.tolist()
+                for column in (
+                    m.t_rc, m.t_lc, m.zeta, m.omega_n,
+                    m.delay_50, m.rise_time, m.overshoot, m.settling,
+                )
+            )
+            self._table = table
+            self._table_generation = generation
+        else:
+            session.count_read()
+        return self._table
 
     def _table_rows(self, rows) -> List[GuardedTiming]:
         """``GuardedTiming`` objects from table rows.

@@ -98,6 +98,12 @@ class SessionState(abc.ABC):
         """The full-tree metric table; out-of-domain rows stay in it
         (non-finite) and its row accessors raise for them."""
 
+    @property
+    def generation(self) -> int:
+        """Changes whenever an edit changes :meth:`table`'s answer; a
+        state without edits stays at 0."""
+        return 0
+
     def editor(self) -> IncrementalAnalyzer:
         """The live delta-update analyzer (incremental states only)."""
         raise ConfigurationError(
@@ -229,6 +235,10 @@ class _IncrementalState(SessionState):
 
     def table(self) -> TimingTable:
         return self._incremental.timing_table()
+
+    @property
+    def generation(self) -> int:
+        return self._incremental.generation
 
     def editor(self) -> IncrementalAnalyzer:
         return self._incremental

@@ -133,6 +133,18 @@ class Session:
         with self._record():
             return self._state.table()
 
+    @property
+    def generation(self) -> int:
+        """The state's edit generation: a :meth:`table` read stays
+        current until it changes (only an incremental session's edits
+        change it)."""
+        return self._state.generation
+
+    def count_read(self) -> None:
+        """Count one dispatch for a read the caller answers from a
+        :meth:`table` it already holds at the current generation."""
+        self._context._stats.count(self._plan.backend, self._plan.workload.kind)
+
     def editor(self) -> IncrementalAnalyzer:
         """The live delta-update analyzer (incremental sessions only)."""
         return self._state.editor()

@@ -52,13 +52,17 @@ class RuntimeStats:
         if degraded:
             self._plans["degraded"] += 1
 
-    @contextmanager
-    def record(self, backend: str, kind: str):
-        """Count one dispatch and time it into the kind's phase bucket."""
+    def count(self, backend: str, kind: str) -> None:
+        """Count one dispatch without timing it."""
         self._dispatch[backend] = self._dispatch.get(backend, 0) + 1
         self._workloads[kind] = self._workloads.get(kind, 0) + 1
         if backend == "sharded":
             self._pool_dispatches += 1
+
+    @contextmanager
+    def record(self, backend: str, kind: str):
+        """Count one dispatch and time it into the kind's phase bucket."""
+        self.count(backend, kind)
         start = time.perf_counter()
         try:
             yield

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +30,11 @@ __all__ = ["ExactSimulator"]
 #: Relative threshold below which ``w + 1/tau`` counts as resonant and the
 #: limiting form ``t * exp(w t)`` is used instead of the difference quotient.
 _RESONANCE_RTOL = 1e-9
+
+#: Complex entries in one (modes x time columns) block of a response:
+#: responses are evaluated a block of time columns at a time, so memory
+#: stays bounded however long the grid is (4 MB per temporary).
+_CHUNK_ENTRIES = 1 << 18
 
 
 class ExactSimulator:
@@ -184,19 +189,34 @@ class ExactSimulator:
     def _combine(
         self,
         nodes: Sequence[str],
-        modal_time: np.ndarray,
+        t: np.ndarray,
+        modal_time: Callable[[np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        """Map modal trajectories to node voltages; verify realness."""
-        _, _, beta = self._modal
+        """Map modal trajectories to node voltages; verify realness.
+
+        ``modal_time(chunk)`` gives the (modes, len(chunk)) modal block
+        for a slice of ``t``; the blocks are evaluated
+        ``_CHUNK_ENTRIES // modes`` time columns at a time. The realness
+        check is over the whole grid: the largest imaginary part of any
+        chunk against the largest magnitude of any chunk.
+        """
+        w, _, beta = self._modal
         rows = np.vstack([self._gamma(n) for n in nodes])
-        signal = rows @ (beta[:, None] * modal_time)
-        max_signal = float(np.max(np.abs(signal))) or 1.0
-        max_imag = float(np.max(np.abs(signal.imag)))
+        out = np.empty((rows.shape[0], t.size))
+        width = max(1, _CHUNK_ENTRIES // w.size)
+        peaks, imag_peaks = [], []
+        for lo in range(0, t.size, width):
+            signal = rows @ (beta[:, None] * modal_time(t[lo:lo + width]))
+            peaks.append(np.max(np.abs(signal)))
+            imag_peaks.append(np.max(np.abs(signal.imag)))
+            out[:, lo:lo + width] = signal.real
+        max_signal = float(np.max(peaks)) or 1.0
+        max_imag = float(np.max(imag_peaks))
         if max_imag > 1e-6 * max_signal:
             raise SimulationError(
                 f"modal recombination left imaginary residue {max_imag:.3e}"
             )
-        return signal.real
+        return out
 
     def step_response(
         self,
@@ -215,7 +235,9 @@ class ExactSimulator:
         w, _, _ = self._modal
         t = np.asarray(t, dtype=float)
         shifted = np.maximum(t - delay, 0.0)
-        out = amplitude * self._combine(names, self._step_modal(w, shifted))
+        out = amplitude * self._combine(
+            names, shifted, lambda chunk: self._step_modal(w, chunk)
+        )
         out[:, t < delay] = 0.0
         return out[0] if single else out
 
@@ -240,17 +262,24 @@ class ExactSimulator:
             out = self.step_response(names, t, source.amplitude, source.delay)
         elif isinstance(source, ExponentialSource):
             shifted = np.maximum(t - source.delay, 0.0)
-            modal = self._step_modal(w, shifted) - self._exp_decay_modal(
-                w, shifted, source.tau
+            out = source.amplitude * self._combine(
+                names,
+                shifted,
+                lambda chunk: self._step_modal(w, chunk)
+                - self._exp_decay_modal(w, chunk, source.tau),
             )
-            out = source.amplitude * self._combine(names, modal)
             out[:, t < source.delay] = 0.0
         elif isinstance(source, (RampSource, PWLSource)):
-            modal = np.zeros((w.size, t.size), dtype=complex)
-            for start, slope_change in source.ramp_segments():
-                shifted = np.maximum(t - start, 0.0)
-                modal += slope_change * self._ramp_modal(w, shifted)
-            out = self._combine(names, modal)
+            segments = source.ramp_segments()
+
+            def ramps(chunk: np.ndarray) -> np.ndarray:
+                modal = np.zeros((w.size, chunk.size), dtype=complex)
+                for start, slope_change in segments:
+                    shifted = np.maximum(chunk - start, 0.0)
+                    modal += slope_change * self._ramp_modal(w, shifted)
+                return modal
+
+            out = self._combine(names, t, ramps)
         else:
             raise SimulationError(
                 f"unsupported source type {type(source).__name__}; use the "

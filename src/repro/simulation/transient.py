@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ..circuit.tree import RLCTree
 from ..errors import SimulationError
@@ -52,6 +51,8 @@ class TrapezoidalSimulator:
     def _factor(self, h: float) -> None:
         if self._cached_h == h:
             return
+        from scipy.linalg import lu_factor
+
         n = self._space.order
         identity = np.eye(n)
         self._cached_lu = lu_factor(identity - 0.5 * h * self._space.a)
@@ -78,6 +79,7 @@ class TrapezoidalSimulator:
         if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
             raise SimulationError("trapezoidal integration needs a uniform grid")
         self._factor(h)
+        from scipy.linalg import lu_solve
 
         single = isinstance(nodes, str)
         names = [nodes] if single else list(nodes)

@@ -563,6 +563,32 @@ class TestTimingTableLifecycle:
         analyzer.timing_table()
         assert incremental_cache_info()["full_metric_refreshes"] == 1
 
+    def test_generation_moves_only_when_the_table_can_change(self, fig5):
+        analyzer = IncrementalAnalyzer(fig5, flush_threshold=1.0)
+        seen = [analyzer.generation]
+
+        def moved():
+            seen.append(analyzer.generation)
+            return seen[-1] != seen[-2]
+
+        analyzer.timing_table()
+        analyzer.sums("n5")
+        analyzer.flush()
+        assert not moved()
+        analyzer.set_resistance("n1", fig5.section("n1").resistance)
+        assert not moved()  # a no-op edit
+        for edit in (
+            lambda: analyzer.set_resistance("n1", 77.0),
+            lambda: analyzer.set_inductance("n1", 3e-9),
+            lambda: analyzer.set_capacitance("n5", 8e-13),
+            lambda: analyzer.scale_segment("n2", resistance_factor=2.0),
+            lambda: analyzer.set_values(resistance=analyzer.snapshot().resistance),
+            analyzer.recompute,
+            lambda: analyzer.detach_subtree("n7"),
+        ):
+            edit()
+            assert moved()
+
 
 class TestCounters:
     def test_keys_are_stable(self):

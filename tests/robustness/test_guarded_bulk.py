@@ -15,7 +15,7 @@ from repro import GuardedAnalyzer
 from repro.circuit import RLCTree, fig5_tree, random_tree
 from repro.errors import FallbackExhaustedError, TopologyError
 from repro.robustness.guarded import RobustnessReport, TierAttempt
-from repro.runtime import ExecutionContext, RuntimeConfig
+from repro.runtime import ExecutionContext, RuntimeConfig, Session
 
 pytestmark = pytest.mark.robustness
 
@@ -169,6 +169,54 @@ class TestUnmaskedRowsAreTheSessionTable:
         before = sum(ctx.stats()["dispatch"].values())
         guarded.report()
         assert sum(ctx.stats()["dispatch"].values()) == before + 1
+
+
+class TestOneTableResolvePerGeneration:
+    """Per-node reads resolve the session's table once per analyzer (per
+    edit generation) and still count one dispatch per call."""
+
+    @pytest.fixture
+    def resolves(self, monkeypatch):
+        calls = []
+        original = Session.table
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Session, "table", counting)
+        return calls
+
+    def test_per_node_reads_resolve_once(self, resolves, ctx):
+        tree = TREES["random0"]
+        guarded = GuardedAnalyzer(tree, context=ctx)
+        before = sum(ctx.stats()["dispatch"].values())
+        for node in tree.nodes:
+            guarded.timing(node)
+            guarded.query("delay_50", node)
+        guarded.report()
+        assert len(resolves) == 1
+        dispatches = sum(ctx.stats()["dispatch"].values()) - before
+        assert dispatches == 2 * len(tree.nodes) + 1
+
+    def test_incremental_edits_show(self, resolves):
+        tree = TREES["random1"]
+        guarded = GuardedAnalyzer(
+            tree, config=RuntimeConfig(backend="incremental")
+        )
+        node = tree.nodes[-1]
+        before = guarded.timing(node)
+        guarded._session.editor().set_resistance(
+            tree.nodes[0], 3.0 * tree.section(tree.nodes[0]).resistance
+        )
+        after = guarded.timing(node)
+        assert len(resolves) == 2
+        assert after.delay_50 > before.delay_50
+        edited = guarded._session.editor().tree()
+        fresh = GuardedAnalyzer(edited).timing(node)
+        assert after.delay_50 == pytest.approx(fresh.delay_50, rel=1e-12)
+        assert guarded.query("delay_50", node).value == after.delay_50
+        assert resolves.count(guarded._session) == 2
 
 
 class TestMaskedRowsEscalate:

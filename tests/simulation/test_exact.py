@@ -6,11 +6,12 @@ independent trapezoidal integrator in test_transient.py.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.circuit import single_line
+from repro.circuit import random_tree, single_line
 from repro.errors import SimulationError
 from repro.simulation import (
     ExactSimulator,
@@ -19,6 +20,7 @@ from repro.simulation import (
     RampSource,
     StepSource,
 )
+from repro.simulation import exact as exact_module
 
 
 def analytic_underdamped_step(t, r, l, c):
@@ -199,3 +201,69 @@ class TestTimeGrid:
     def test_bad_end_rejected(self, fig5):
         with pytest.raises(SimulationError):
             ExactSimulator(fig5).time_grid(t_end=-1.0)
+
+
+class TestChunkedGrid:
+    """Responses are evaluated a block of time columns at a time; the
+    block width is a memory bound only, never a change of answer."""
+
+    SOURCES = {
+        "step": StepSource(amplitude=1.3, delay=2e-10),
+        "exponential": ExponentialSource(tau=3e-10, delay=1e-10),
+        "ramp": RampSource(amplitude=1.0, rise_time=4e-10),
+        "pwl": PWLSource.from_points(
+            [(0.0, 0.0), (1e-10, 1.0), (6e-10, 1.0), (7e-10, 0.0)]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_chunk_width_does_not_change_the_response(
+        self, name, fig8, monkeypatch
+    ):
+        sim = ExactSimulator(fig8)
+        t = sim.time_grid(points=3001)
+        nodes = list(fig8.nodes)
+        monkeypatch.setattr(exact_module, "_CHUNK_ENTRIES", 1 << 40)
+        whole = sim.response(self.SOURCES[name], nodes, t)
+        for entries in (1, 7 * sim.order, 100 * sim.order):
+            monkeypatch.setattr(exact_module, "_CHUNK_ENTRIES", entries)
+            chunked = sim.response(self.SOURCES[name], nodes, t)
+            np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-15)
+
+    def test_realness_check_spans_every_chunk(self, fig5, monkeypatch):
+        # One time column per chunk: column 0 carries the peak, column 1
+        # an imaginary part that is small only against that peak.
+        sim = ExactSimulator(fig5)
+        _, _, beta = sim._modal
+        weight = sim._gamma("n7") * beta
+        k = int(np.argmax(np.abs(weight)))
+        monkeypatch.setattr(exact_module, "_CHUNK_ENTRIES", 1)
+
+        def modal_time(values):
+            def block(chunk):
+                out = np.zeros((beta.size, chunk.size), dtype=complex)
+                out[k] = values[chunk.astype(int)] / weight[k]
+                return out
+            return block
+
+        t = np.array([0.0, 1.0])
+        out = sim._combine(["n7"], t, modal_time(np.array([10.0, 0.9e-5j])))
+        np.testing.assert_allclose(out, [[10.0, 0.0]], atol=1e-12)
+        with pytest.raises(SimulationError, match="imaginary residue"):
+            sim._combine(["n7"], t, modal_time(np.array([10.0, 1.1e-5j])))
+
+    def test_long_grid_memory_is_bounded(self):
+        # ~200 states over the exact tier's finest grid: whole
+        # (modes x grid) complex blocks would need hundreds of MB.
+        tree = random_tree(100, np.random.default_rng(0))
+        sim = ExactSimulator(tree)
+        sim.poles()
+        t = sim.time_grid(points=36009)
+        node = tree.nodes[-1]
+        tracemalloc.start()
+        try:
+            sim.step_response(node, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
