@@ -137,18 +137,19 @@ def run_lazy(quick: bool = True) -> dict:
     peak_full, mean_delay = _traced_peak(compiled, mc_scenarios)
     eager_block = mc_scenarios * 3 * compiled.size * 8
 
-    # -- bitwise pin against the eager app path ---------------------------
+    # -- bitwise pin against one batch over the one-shot draw -------------
+    from tests.conftest import variation_reference
+
     variation = VariationModel(0.15, 0.1, 0.2)
     lazy = sample_delays(
         fig5_tree(), "n7", variation, samples=pin_samples, seed=11
     )
-    eager = sample_delays(
-        fig5_tree(), "n7", variation, samples=pin_samples, seed=11,
-        eager=True,
+    rlc, rc = variation_reference(
+        fig5_tree(), "n7", variation, pin_samples, seed=11
     )
     bitwise = (
-        lazy.rlc.values.tobytes() == eager.rlc.values.tobytes()
-        and lazy.rc.values.tobytes() == eager.rc.values.tobytes()
+        lazy.rlc.values.tobytes() == rlc.tobytes()
+        and lazy.rc.values.tobytes() == rc.tobytes()
     )
 
     return {

@@ -432,7 +432,8 @@ def bench_incremental_sizing(num_sections: int, repeats: int = 3) -> dict:
         return optimize_width(problem)
 
     def run_full():
-        return optimize_width(problem, config=RuntimeConfig(backend="compiled"))
+        with ExecutionContext(RuntimeConfig(backend="compiled")) as ctx:
+            return optimize_width(problem, context=ctx)
 
     run_incremental()  # warm the compiled template + topology cache
     result_full = run_full()

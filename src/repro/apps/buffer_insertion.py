@@ -32,7 +32,7 @@ from ..analysis.delay import delay_50_from_sums, elmore_delay
 from ..circuit.tree import RLCTree
 from ..errors import ReproError
 from ..robustness.guarded import shielded
-from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 
 __all__ = [
     "Buffer",
@@ -131,7 +131,6 @@ def insert_buffers(
     candidate_nodes: Optional[Sequence[str]] = None,
     driver_resistance: float = 0.0,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> InsertionResult:
     """Van Ginneken buffer insertion maximizing required time at the root.
@@ -158,8 +157,7 @@ def insert_buffers(
     Every candidate is scored with the scalar closed forms
     (:func:`wire_segment_delay`, :meth:`Buffer.driving_delay`), which
     beat one array call per frontier at every measured tree size.
-    ``config``/``context`` pick the runtime whose ``stats()`` counts
-    the run.
+    ``context`` picks the runtime whose ``stats()`` counts the run.
 
     Returns the candidate with the best required time at the root.
     """
@@ -174,7 +172,7 @@ def insert_buffers(
     if unknown:
         raise ReproError(f"candidate nodes not in tree: {sorted(unknown)}")
 
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     frontiers: Dict[str, List[_Candidate]] = {}
     # Closed-form point evaluations, counted where the point route runs.
     with runtime.track("compiled", "point"):

@@ -29,7 +29,7 @@ from ..circuit.elements import Section
 from ..circuit.tree import RLCTree
 from ..errors import ReproError
 from ..robustness.guarded import shielded
-from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 from ..simulation.exact import ExactSimulator
 from ..simulation.measures import delay_50 as measure_delay_50
 
@@ -162,7 +162,6 @@ def skew_report(
     points: int = 4001,
     span_factor: float = 10.0,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> SkewReport:
     """Compute the three-model skew comparison for one clock tree.
@@ -174,7 +173,7 @@ def skew_report(
     sinks = tree.leaves()
     if not sinks:
         raise ReproError("tree has no sinks")
-    session = resolve_context(context, config).session(tree)
+    session = resolve_context(context).session(tree)
     rlc = {s: session.value("delay_50", s) for s in sinks}
     rc = {s: session.value("elmore_delay", s) for s in sinks}
 

@@ -35,12 +35,7 @@ from ..circuit.tree import RLCTree
 from ..engine import compile_tree
 from ..errors import ReproError
 from ..robustness.guarded import shielded
-from ..runtime import (
-    ExecutionContext,
-    RuntimeConfig,
-    Workload,
-    resolve_context,
-)
+from ..runtime import ExecutionContext, Workload, resolve_context
 from ..sweep import clip, compile_sweep, const, run_sweep, scenario_space, values_axis
 
 __all__ = ["TuningResult", "tune_clock_tree", "apply_widths", "model_skew"]
@@ -64,7 +59,6 @@ def apply_widths(tree: RLCTree, widths: Dict[str, float]) -> RLCTree:
 def model_skew(
     tree: RLCTree,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> float:
     """Closed-form skew: max - min sink delay.
@@ -75,41 +69,9 @@ def model_skew(
     iterations over resized copies of one tree reuse the compiled
     topology.
     """
-    session = resolve_context(context, config).session(tree)
+    session = resolve_context(context).session(tree)
     delays = [session.value("delay_50", sink) for sink in tree.leaves()]
     return max(delays) - min(delays)
-
-
-class _IncrementalObjective:
-    """Skew-variance probes through one delta-update analyzer.
-
-    Descent probes many rejected width proposals per accepted step; this
-    evaluates each probe as a bulk value load plus sink point queries on
-    the nominal tree's compiled structure — no tree copy, no per-probe
-    sensitivity recursion. The analytic gradient stays on the
-    :func:`~repro.analysis.sensitivity.delay_sensitivities` path and is
-    only recomputed at accepted points.
-    """
-
-    def __init__(self, nominal: RLCTree, runtime: ExecutionContext):
-        compiled = compile_tree(nominal)
-        session = runtime.session(compiled, backend="incremental", kind="edit")
-        self._runtime = runtime
-        self._analyzer = session.editor()
-        self._names = compiled.names
-        self._r0 = compiled.resistance
-        self._c0 = compiled.capacitance
-        self._sinks = nominal.leaves()
-
-    def __call__(self, widths: Dict[str, float]) -> float:
-        factors = np.array([widths.get(name, 1.0) for name in self._names])
-        with self._runtime.track("incremental", "edit"):
-            self._analyzer.set_values(
-                resistance=self._r0 / factors,
-                capacitance=self._c0 * factors,
-            )
-            delays = self._analyzer.metric_at("delay_50", self._sinks)
-        return float(((delays - delays.mean()) ** 2).sum())
 
 
 def _objective_and_gradient(
@@ -142,14 +104,14 @@ def _objective_and_gradient(
 class _CascadeObjective:
     """Backtracking cascades scored as one lazy sweep per iteration.
 
-    The eager descent evaluates backtracking candidates one at a time
-    — propose with ``step``, reject, halve, repeat. But given the
+    The per-proposal descent evaluates backtracking candidates one at a
+    time — propose with ``step``, reject, halve, repeat. But given the
     current point and gradient, the whole halving cascade is known up
     front, so all candidates can be scored in *one* chunked batch pass
     over the compiled nominal structure: the candidate width factors
     are a clipped expression over a step axis, and accept/reject is a
     scan over the returned objectives. The factor arithmetic replicates
-    the eager per-name proposal operation for operation (and all four
+    the per-name proposal operation for operation (and all four
     backends answer with bitwise-identical metrics), so the accepted
     widths, objective trace and iteration counts are identical to the
     one-at-a-time loop.
@@ -217,10 +179,10 @@ def _tune_lazy(
 ) -> "TuningResult":
     """Descent with each backtracking cascade scored as one lazy sweep.
 
-    Candidate accounting matches the eager loop exactly: the cascade
-    for one descent point is the halving sequence the eager loop would
-    probe one at a time, capped by the remaining iteration budget, and
-    ``performed`` advances by the number of candidates the eager loop
+    Candidate accounting matches the per-proposal loop exactly: the
+    cascade for one descent point is the halving sequence that loop
+    would probe one at a time, capped by the remaining iteration
+    budget, and ``performed`` advances by the number of candidates it
     would have burned before accepting (or exhausting) the cascade.
     """
     widths: Dict[str, float] = {name: 1.0 for name in tree.nodes}
@@ -314,8 +276,6 @@ def tune_clock_tree(
     max_width: float = 4.0,
     tolerance: float = 1e-4,
     *,
-    eager: bool = False,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> TuningResult:
     """Equalize sink delays by per-section width descent.
@@ -332,12 +292,10 @@ def tune_clock_tree(
     step axis, the candidate widths a clipped expression over it, and
     one chunked batch pass returns every candidate objective — same
     accepted widths, objective trace and iteration count as the
-    one-at-a-time loop. ``eager=True`` keeps the original per-proposal
-    probing through :class:`_IncrementalObjective` (bulk value swap
-    plus sink point queries on the delta-update backend). Forcing any
-    non-incremental backend
-    (``config=RuntimeConfig(backend="compiled")``) falls back to the
-    per-proposal :func:`delay_sensitivities` evaluation.
+    one-at-a-time loop. A context forcing any non-incremental backend
+    (``RuntimeConfig(backend="compiled")``) runs that loop instead,
+    scoring each proposal with :func:`delay_sensitivities`; it is the
+    reference the cascade is pinned against.
     """
     if tree.size == 0 or len(tree.leaves()) < 2:
         raise ReproError("tuning needs a tree with at least two sinks")
@@ -346,14 +304,12 @@ def tune_clock_tree(
     if iterations < 1:
         raise ReproError("need at least one iteration")
 
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     decision = runtime.plan(
         Workload(kind="edit", tree_size=tree.size, edit_count=iterations)
     )
-    use_probe = decision.backend == "incremental"
-
     skew_before = model_skew(tree, context=runtime)
-    if use_probe and not eager:
+    if decision.backend == "incremental":
         return _tune_lazy(
             tree,
             runtime,
@@ -366,12 +322,7 @@ def tune_clock_tree(
         )
 
     widths: Dict[str, float] = {name: 1.0 for name in tree.nodes}
-    probe = _IncrementalObjective(tree, runtime) if use_probe else None
-    if probe is not None:
-        objective = probe(widths)
-        gradient = _objective_and_gradient(tree, widths)[1]
-    else:
-        objective, gradient = _objective_and_gradient(tree, widths)
+    objective, gradient = _objective_and_gradient(tree, widths)
     trace: List[float] = [objective]
     step = initial_step
     performed = 0
@@ -390,13 +341,9 @@ def tune_clock_tree(
             )
             for name in widths
         }
-        if probe is not None:
-            new_objective = probe(proposal)
-            new_gradient = None
-        else:
-            new_objective, new_gradient = _objective_and_gradient(
-                tree, proposal
-            )
+        new_objective, new_gradient = _objective_and_gradient(
+            tree, proposal
+        )
         performed += 1
         if new_objective < objective:
             improvement = (objective - new_objective) / objective
@@ -404,11 +351,7 @@ def tune_clock_tree(
             trace.append(objective)
             if improvement < tolerance:
                 break
-            gradient = (
-                _objective_and_gradient(tree, widths)[1]
-                if new_gradient is None
-                else new_gradient
-            )
+            gradient = new_gradient
         else:
             step *= 0.5
             if step < 1e-4:

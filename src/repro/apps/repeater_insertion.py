@@ -39,7 +39,7 @@ from ..circuit.elements import Section
 from ..circuit.tree import RLCTree
 from ..errors import ReproError
 from ..robustness.guarded import shielded
-from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 
 __all__ = [
     "RepeaterLibrary",
@@ -143,7 +143,6 @@ def stage_delay(
     wire_sections: int = 8,
     last: bool = False,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> float:
     """Closed-form 50% delay of one repeated stage.
@@ -176,7 +175,7 @@ def stage_delay(
             "drv" if parent == segment.root else parent,
             section=segment.section(name),
         )
-    session = resolve_context(context, config).session(tree, kind="point")
+    session = resolve_context(context).session(tree, kind="point")
     return session.value("delay_50", f"n{wire_sections}")
 
 
@@ -188,7 +187,6 @@ def total_path_delay(
     size: float,
     model: DelayModel,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> float:
     """Delay of the whole repeated line: stage delays + intrinsics.
@@ -197,7 +195,7 @@ def total_path_delay(
     identical stages; every stage but the last drives the next
     repeater's input.
     """
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     stages = count + 1
     inner = stage_delay(
         line, library, stages, size, model, last=False, context=runtime
@@ -215,7 +213,6 @@ def optimize_repeaters(
     model: DelayModel = "rlc",
     max_count: int = 60,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> RepeaterPlan:
     """Jointly optimize repeater count and size under the chosen model.
@@ -229,7 +226,7 @@ def optimize_repeaters(
     """
     if model not in ("rc", "rlc"):
         raise ReproError(f"unknown delay model {model!r}; use 'rc' or 'rlc'")
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     from scipy.optimize import minimize_scalar
 
     best: Tuple[float, int, float] | None = None

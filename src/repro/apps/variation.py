@@ -29,7 +29,7 @@ from ..circuit.tree import RLCTree
 from ..engine import compile_tree
 from ..errors import ConfigurationError, ElementValueError, ReproError
 from ..robustness.guarded import shielded
-from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 from ..simulation.exact import ExactSimulator
 from ..simulation.measures import delay_50 as measure_delay_50
 from ..sweep import (
@@ -172,34 +172,6 @@ def _factor_prefix(
     return np.exp(-0.5 * sig * sig + sig * z).transpose(0, 2, 1)
 
 
-def _staged_factor_values(
-    sections: int,
-    sig: np.ndarray,
-    nominal: np.ndarray,
-    samples: int,
-    seed: int,
-    stage: int,
-) -> np.ndarray:
-    """The eager ``(S, 3, n)`` value block, materialized in stages.
-
-    Draws land stage by stage through one generator, so only one
-    stage's raw normals and factors are alive on top of the output
-    block — the one-shot expression ``exp(...) * nominal`` held three
-    full ``(S, 3, n)`` intermediates (``z``, the factors and the
-    product) at peak. Generator streams are prefix-stable, so the
-    staged block is bitwise identical to the one-shot draw.
-    """
-    rng = np.random.default_rng(seed)
-    values = np.empty((samples, 3, sections))
-    for lo in range(0, samples, stage):
-        hi = min(lo + stage, samples)
-        z = rng.standard_normal((hi - lo, sections, 3))
-        values[lo:hi] = (
-            np.exp(-0.5 * sig * sig + sig * z).transpose(0, 2, 1) * nominal
-        )
-    return values
-
-
 def _tree_from_factors(
     tree: RLCTree, names: Tuple[str, ...], factors: np.ndarray
 ) -> RLCTree:
@@ -227,8 +199,6 @@ def sample_delays(
     seed: int = 0,
     *,
     chunk_size: Optional[int] = None,
-    eager: bool = False,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> VariationStudy:
     """Monte-Carlo delay distribution at ``node``.
@@ -243,12 +213,6 @@ def sample_delays(
     seeded generator whose concatenated blocks are bitwise the single
     eager draw, so every delay sample is bitwise identical for any
     ``chunk_size``, backend and worker count.
-
-    ``eager=True`` is the escape hatch onto the materialized path: the
-    full ``(S, 3, n)`` block is built (staged ``chunk_size`` rows at a
-    time so the construction itself never holds duplicate full-size
-    intermediates) and evaluated as one batch. Same bits, eager memory
-    profile.
 
     ``exact_samples`` of the draws (the first ones, so they share the
     model draws) are additionally simulated exactly — expensive, so keep
@@ -273,7 +237,7 @@ def sample_delays(
         raise ConfigurationError(
             f"chunk_size must be positive, got {chunk}"
         )
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     compiled = compile_tree(tree)
     # Draws happen in (sample, section, element) order with the same
     # expression as VariationModel.sample_tree, so the factor rows are
@@ -282,39 +246,31 @@ def sample_delays(
     nominal = np.stack(
         [compiled.resistance, compiled.inductance, compiled.capacitance]
     )
+    axis = lognormal_factors(
+        "variation",
+        sigmas=sig,
+        sections=compiled.size,
+        samples=samples,
+        seed=seed,
+    )
+    sweep = compile_sweep(
+        scenario_space(axis),
+        resistance=axis.resistance * const(nominal[0]),
+        inductance=axis.inductance * const(nominal[1]),
+        capacitance=axis.capacitance * const(nominal[2]),
+    )
     rlc = np.empty(samples)
     rc = np.empty(samples)
-    if eager:
-        values = _staged_factor_values(
-            compiled.size, sig, nominal, samples, seed, stage=chunk
-        )
-        batch = runtime.batch(compiled, values, metrics=("delay_50", "t_rc"))
-        rlc[:] = batch.column("delay_50", node)
-        rc[:] = math.log(2.0) * batch.column("t_rc", node)
-    else:
-        axis = lognormal_factors(
-            "variation",
-            sigmas=sig,
-            sections=compiled.size,
-            samples=samples,
-            seed=seed,
-        )
-        sweep = compile_sweep(
-            scenario_space(axis),
-            resistance=axis.resistance * const(nominal[0]),
-            inductance=axis.inductance * const(nominal[1]),
-            capacitance=axis.capacitance * const(nominal[2]),
-        )
-        for lo, batch in iter_sweep(
-            sweep,
-            compiled,
-            chunk_size=chunk,
-            metrics=("delay_50", "t_rc"),
-            context=runtime,
-        ):
-            hi = lo + batch.scenarios
-            rlc[lo:hi] = batch.column("delay_50", node)
-            rc[lo:hi] = math.log(2.0) * batch.column("t_rc", node)
+    for lo, batch in iter_sweep(
+        sweep,
+        compiled,
+        chunk_size=chunk,
+        metrics=("delay_50", "t_rc"),
+        context=runtime,
+    ):
+        hi = lo + batch.scenarios
+        rlc[lo:hi] = batch.column("delay_50", node)
+        rc[lo:hi] = math.log(2.0) * batch.column("t_rc", node)
     if not (np.all(np.isfinite(rlc)) and np.all(np.isfinite(rc))):
         # Log-normal factors keep values positive, so this means the
         # nominal tree itself was out of the closed forms' domain.

@@ -36,12 +36,7 @@ from ..engine import compile_tree, timing_table
 from ..engine.compiled import CompiledTree
 from ..errors import ElementValueError, ReproError
 from ..robustness.guarded import shielded
-from ..runtime import (
-    ExecutionContext,
-    RuntimeConfig,
-    Workload,
-    resolve_context,
-)
+from ..runtime import ExecutionContext, Workload, resolve_context
 from ..sweep import (
     DEFAULT_CHUNK,
     compile_sweep,
@@ -210,7 +205,8 @@ def _width_sweep(problem: WireSizingProblem, widths, model: DelayModel):
     problem.tree(w, model))`` extraction). The driver/sink slot
     overrides are written as mask arithmetic — ``x * 1.0 + 0.0 == x``
     and ``x * 0.0 + c == c`` exactly for finite ``x`` — so every
-    scenario row is bitwise the row the eager path stacks.
+    scenario row is bitwise the values ``compile_tree(problem.tree(w,
+    model))`` extracts.
     """
     template = _compiled_template(problem, model)
     topology = template.topology
@@ -259,8 +255,6 @@ def sweep_widths(
     model: DelayModel = "rlc",
     *,
     chunk_size: Optional[int] = None,
-    eager: bool = False,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Receiver delay at every width of a grid, shape ``(len(widths),)``.
@@ -280,45 +274,28 @@ def sweep_widths(
     serial arithmetic operation for operation, so the returned delays
     are **bitwise identical** whichever backend the planner picks, for
     any ``chunk_size``.
-
-    ``eager=True`` is the escape hatch onto the materialized path: one
-    compiled tree per width, one stacked ``(S, 3, n)`` block, one batch
-    dispatch. Same bits, eager memory profile.
     """
     if model not in ("rc", "rlc"):
         raise ReproError(f"unknown delay model {model!r}; use 'rc' or 'rlc'")
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     widths = [float(w) for w in widths]
     if not widths:
         return np.empty(0)
     for width in widths:
         problem._check_width(width)
 
-    if eager:
-        compiled = [compile_tree(problem.tree(w, model)) for w in widths]
-        block = np.stack(
-            [
-                np.stack([ct.resistance, ct.inductance, ct.capacitance])
-                for ct in compiled
-            ]
-        )
-        batch = runtime.batch(compiled[0], block, metrics=("delay_50",))
-        delays = batch.column("delay_50", problem.sink())
-    else:
-        template, sweep = _width_sweep(problem, widths, model)
-        chunk = DEFAULT_CHUNK if chunk_size is None else int(chunk_size)
-        delays = np.empty(len(widths))
-        sink = problem.sink()
-        for lo, batch in iter_sweep(
-            sweep,
-            template,
-            chunk_size=chunk,
-            metrics=("delay_50",),
-            context=runtime,
-        ):
-            delays[lo : lo + batch.scenarios] = batch.column(
-                "delay_50", sink
-            )
+    template, sweep = _width_sweep(problem, widths, model)
+    chunk = DEFAULT_CHUNK if chunk_size is None else int(chunk_size)
+    delays = np.empty(len(widths))
+    sink = problem.sink()
+    for lo, batch in iter_sweep(
+        sweep,
+        template,
+        chunk_size=chunk,
+        metrics=("delay_50",),
+        context=runtime,
+    ):
+        delays[lo : lo + batch.scenarios] = batch.column("delay_50", sink)
     if not np.all(np.isfinite(delays)):
         raise ElementValueError(
             "width sweep produced non-finite delays; the sized wire left "
@@ -333,7 +310,6 @@ def optimize_width(
     model: DelayModel = "rlc",
     tolerance: float = 1e-9,
     *,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> SizingResult:
     """Minimize receiver delay over wire width (bounded scalar search).
@@ -349,14 +325,14 @@ def optimize_width(
     load, and a point query at the sink on one
     :class:`~repro.engine.incremental.IncrementalAnalyzer` over the
     problem's compiled template — no per-probe tree construction or
-    full-table evaluation. Forcing any other backend (``config=
-    RuntimeConfig(backend="compiled")``) probes through
+    full-table evaluation. A context forcing any other backend
+    (``RuntimeConfig(backend="compiled")``) probes through
     :meth:`WireSizingProblem.delay` instead; both paths evaluate the
     same kernel arithmetic on the same value vectors.
     """
     if model not in ("rc", "rlc"):
         raise ReproError(f"unknown delay model {model!r}; use 'rc' or 'rlc'")
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     decision = runtime.plan(
         Workload(
             kind="edit",

@@ -810,6 +810,7 @@ class IncrementalAnalyzer:
             names=self._topology.names,
             settle_band=self._settle_band,
             metrics=self._metrics,
+            _index=self._topology.index,
         )
 
     def _refresh_metrics(self) -> None:

@@ -375,6 +375,7 @@ def analyze_many(
                     names=ct.names,
                     settle_band=settle_band,
                     metrics=MetricArrays(**body),
+                    _index=ct.topology.index,
                 )
             )
         else:

@@ -207,6 +207,7 @@ def evaluate(compiled: CompiledTree, settle_band: float = 0.1) -> TimingTable:
         names=compiled.names,
         settle_band=settle_band,
         metrics=metrics_from_sums(t_rc, t_lc, settle_band),
+        _index=compiled.topology.index,
     )
 
 

@@ -53,7 +53,7 @@ from ..errors import (
     SimulationError,
     TopologyError,
 )
-from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 from ..simulation import measures
 from ..simulation.state_space import ensure_positive_capacitance
 from .health import characteristic_scales, rescale_tree
@@ -260,13 +260,10 @@ class GuardedAnalyzer:
     max_rescale_retries:
         Bound on unit-rescaling retries in the exact tier (0 disables
         rescaling entirely).
-    config / context:
+    context:
         Runtime routing for the closed-form tier, which reads a runtime
-        session opened on the sanitized tree: an explicit
-        :class:`~repro.runtime.ExecutionContext` wins, a bare
-        :class:`~repro.runtime.RuntimeConfig` gets its own context,
-        neither means the process default
-        (:func:`~repro.runtime.default_context`).
+        session opened on the sanitized tree; ``None`` means the
+        process default (:func:`~repro.runtime.default_context`).
     """
 
     DEFAULT_CHAIN: Tuple[str, ...] = ("closed-form", "awe", "exact")
@@ -287,7 +284,6 @@ class GuardedAnalyzer:
         policy: Optional[RepairPolicy] = None,
         awe_order: int = 3,
         max_rescale_retries: int = 1,
-        config: Optional[RuntimeConfig] = None,
         context: Optional[ExecutionContext] = None,
     ):
         chain = tuple(chain)
@@ -313,7 +309,7 @@ class GuardedAnalyzer:
         self._tree, self.validation = sanitize(tree, policy)
         self.validation.raise_if_errors()
 
-        self._runtime = resolve_context(context, config)
+        self._runtime = resolve_context(context)
         self._session = self._runtime.session(self._tree, settle_band)
         # A finite table row answers the first tier only when the chain
         # opens with it; otherwise every row walks the chain.

@@ -18,8 +18,9 @@ that makes them one system:
   :class:`Session`, the one front door apps, the CLI and the guarded
   pipeline dispatch through (and the context manager that guarantees
   pool/shared-memory teardown on exceptions);
-* :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the one set of
-  routing and supervision knobs every entry point takes as ``config=``;
+* :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the routing
+  and supervision knobs an :class:`ExecutionContext` is built from;
+  every entry point takes that context as ``context=``;
 * :mod:`~repro.runtime.calibrate` — the measured serial/sharded
   crossover: microbenchmark both paths, fit linear cost models, route
   batches by the fitted break-even point (persisted in

@@ -350,11 +350,7 @@ class IncrementalBackend(Backend):
 
     def open(self, source, settle_band, config):
         return _IncrementalState(
-            IncrementalAnalyzer(
-                source,
-                settle_band=settle_band,
-                flush_threshold=config.flush_threshold,
-            )
+            IncrementalAnalyzer(source, settle_band=settle_band)
         )
 
 
@@ -365,7 +361,6 @@ def _supervision_policy(config: RuntimeConfig):
     return SupervisionPolicy(
         shard_timeout=config.shard_timeout,
         max_retries=config.max_retries,
-        backoff=config.retry_backoff,
     )
 
 
@@ -373,7 +368,7 @@ class ShardedBackend(Backend):
     """The multi-process dispatch layer over the compiled kernels.
 
     Every dispatch runs under the supervision policy the config's
-    ``shard_timeout``/``max_retries``/``retry_backoff`` knobs describe:
+    ``shard_timeout``/``max_retries`` knobs describe:
     worker death and hung shards cost a bounded retry (with automatic
     pool rebuild) and at worst a serial in-process evaluation — the
     call never hangs and the numbers never change.
@@ -401,9 +396,7 @@ class ShardedBackend(Backend):
     def batch(self, compiled, rlc, settle_band, metrics, config):
         scenarios = int(rlc.shape[0])
         workers = config.workers if config.parallel else None
-        if config.shards is not None:
-            shards = config.shards
-        elif config.calibration is not None and workers:
+        if config.calibration is not None and workers:
             # Cost-model shard sizing: near the break-even point fewer,
             # larger shards amortize dispatch overhead better than one
             # shard per worker.

@@ -1,9 +1,10 @@
 """Auto-calibrated serial/sharded crossover for the planner.
 
-``sharded_min_cells`` is a guess; this module replaces it with a
-measurement. :func:`run_calibration` times the *same* scenario batch
-through the serial in-process engine and through the warm sharded pool
-at a few sizes, fits the linear cost model
+The planner's static :data:`~repro.runtime.planner.SHARDED_MIN_CELLS`
+is a guess; this module replaces it with a measurement.
+:func:`run_calibration` times the *same* scenario batch through the
+serial in-process engine and through the warm sharded pool at a few
+sizes, fits the linear cost model
 
     ``cost(cells) = overhead + per_cell * cells``
 
@@ -11,7 +12,7 @@ to each curve, and solves for the break-even batch size. The resulting
 :class:`CrossoverCalibration` plugs into
 :class:`~repro.runtime.config.RuntimeConfig` (``calibration=``), where
 the planner consults :meth:`CrossoverCalibration.sharded_wins` instead
-of the static ``sharded_min_cells`` threshold — the *never slower than
+of the static ``SHARDED_MIN_CELLS`` threshold — the *never slower than
 serial* guarantee: below break-even the batch stays on the in-process
 kernels (identical numbers, no dispatch overhead), above it the pool
 pays off.

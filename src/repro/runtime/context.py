@@ -193,10 +193,7 @@ class ExecutionContext:
                 "with the current worker budget",
             )
             self._config = replace(self._config, calibration=None)
-        self._breakers = BreakerBoard(
-            threshold=self._config.breaker_threshold,
-            cooldown=self._config.breaker_cooldown,
-        )
+        self._breakers = BreakerBoard()
         self._closed = False
 
     # -- policy ------------------------------------------------------------
@@ -547,27 +544,7 @@ def reset_default_context() -> None:
 
 def resolve_context(
     context: Optional[ExecutionContext] = None,
-    config: Optional[RuntimeConfig] = None,
 ) -> ExecutionContext:
-    """The context an app entry point should use.
-
-    An explicit ``context`` wins; an explicit ``config`` gets its own
-    (unclosed) context so the override cannot leak into the shared
-    default; otherwise the process default is returned.
-    """
-    if context is not None:
-        if config is not None:
-            raise_config_conflict()
-        return context
-    if config is not None:
-        return ExecutionContext(config)
-    return default_context()
-
-
-def raise_config_conflict() -> None:
-    from ..errors import ConfigurationError
-
-    raise ConfigurationError(
-        "pass either context= or config=, not both; build the context "
-        "from the config first"
-    )
+    """The context an entry point should use: ``context`` when given,
+    otherwise the process default."""
+    return context if context is not None else default_context()

@@ -7,8 +7,9 @@ engine* answers it, and the returned :class:`ExecutionPlan` records why
 — every decision carries its provenance so ``context.stats()`` and the
 CLI can explain a routing choice after the fact.
 
-Routing rules (first match wins), with the boundaries taken from
-:class:`~repro.runtime.config.RuntimeConfig`:
+Routing rules (first match wins), with the worker budget and
+calibration taken from :class:`~repro.runtime.config.RuntimeConfig`
+and the static batch boundary from :data:`SHARDED_MIN_CELLS`:
 
 ========  ============================================  ===========
 kind      condition                                     backend
@@ -48,7 +49,19 @@ from typing import Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from .config import RuntimeConfig
 
-__all__ = ["WORKLOAD_KINDS", "Workload", "ExecutionPlan", "plan"]
+__all__ = [
+    "SHARDED_MIN_CELLS",
+    "WORKLOAD_KINDS",
+    "Workload",
+    "ExecutionPlan",
+    "plan",
+]
+
+#: Without a calibration, batches of at least this many cells
+#: (``scenarios x nodes``) route to the sharded backend when
+#: ``workers > 1``; smaller batches stay on the in-process compiled
+#: kernels, whose results are bitwise identical anyway.
+SHARDED_MIN_CELLS = 4096
 
 #: The six workload shapes the runtime routes.
 WORKLOAD_KINDS: Tuple[str, ...] = (
@@ -210,18 +223,18 @@ def plan(
                     f"break-even={breakeven} or workers<=1 "
                     "-> in-process vectorized (never slower than serial)"
                 )
-        elif config.parallel and workload.cells >= config.sharded_min_cells:
+        elif config.parallel and workload.cells >= SHARDED_MIN_CELLS:
             chosen = "sharded"
             reasons.append(
                 f"{workload.cells} cells >= sharded_min_cells="
-                f"{config.sharded_min_cells} with workers="
+                f"{SHARDED_MIN_CELLS} with workers="
                 f"{config.workers} -> pool dispatch"
             )
         else:
             chosen = "compiled"
             reasons.append(
                 f"{workload.cells} cells below sharded_min_cells="
-                f"{config.sharded_min_cells} or workers<=1 "
+                f"{SHARDED_MIN_CELLS} or workers<=1 "
                 "-> in-process vectorized"
             )
     elif workload.kind == "table":

@@ -125,8 +125,14 @@ class ExactSimulator:
         return h if h.size > 1 else h.reshape(())
 
     def dc_gain(self, node: str) -> float:
-        """H(0); equals 1 for every node of a source-driven tree."""
-        return float(np.real(self.transfer_function(node, 0.0)))
+        """H(0) = -c A^-1 b; equals 1 for every node of a source-driven tree.
+
+        Solved directly rather than summed over modes: the DC operating
+        point exists for defective state matrices too (an exactly
+        critically damped section), where the modal basis does not.
+        """
+        row = self._space.output_row(node)
+        return float(-row @ np.linalg.solve(self._space.a, self._space.b))
 
     # -- time grids -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from ..engine import compile_tree
 from ..engine.compiled import CompiledTree
 from ..engine.table import BatchTiming
 from ..errors import ConfigurationError
-from ..runtime import ExecutionContext, RuntimeConfig, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 from .compile import CompiledSweep
 from .expr import Axis, Expr
 
@@ -146,7 +146,6 @@ def iter_sweep(
     settle_band: float = 0.1,
     metrics: Optional[Sequence[str]] = None,
     backend: Optional[str] = None,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> Iterator[Tuple[int, BatchTiming]]:
     """Stream a compiled sweep over ``tree`` as ``(offset, BatchTiming)``
@@ -158,7 +157,7 @@ def iter_sweep(
     the same order, whatever ``chunk_size`` — so chunking is purely a
     memory/latency knob.
     """
-    runtime = resolve_context(context, config)
+    runtime = resolve_context(context)
     compiled = compile_tree(tree) if isinstance(tree, RLCTree) else tree
     chunk_size = int(chunk_size)
     if chunk_size < 1:
@@ -218,7 +217,6 @@ def run_sweep(
     chunk_size: int = DEFAULT_CHUNK,
     settle_band: float = 0.1,
     backend: Optional[str] = None,
-    config: Optional[RuntimeConfig] = None,
     context: Optional[ExecutionContext] = None,
 ) -> SweepResult:
     """Run a sweep to completion, keeping selected columns.
@@ -244,7 +242,6 @@ def run_sweep(
         settle_band=settle_band,
         metrics=metrics,
         backend=backend,
-        config=config,
         context=context,
     ):
         chunks += 1

@@ -1,7 +1,7 @@
 """The apps' incremental fast paths against their scalar escape hatches.
 
 Each optimization loop routed through the delta-update engine keeps an
-escape hatch, a forced ``config=RuntimeConfig(backend=...)``, running
+escape hatch, a context forcing ``RuntimeConfig(backend=...)``, running
 the original scalar evaluation. The two paths are the same arithmetic
 on the same values, so these tests demand *identical* decisions — same
 widths, same buffer placements, same evaluation counts — not merely
@@ -23,10 +23,19 @@ from repro.apps import (
 )
 from repro.circuit import random_tree, single_line
 from repro.engine import compile_tree
-from repro.runtime import RuntimeConfig
+from repro.runtime import ExecutionContext, RuntimeConfig
 
-COMPILED = RuntimeConfig(backend="compiled")
-SCALAR = RuntimeConfig(backend="scalar")
+
+@pytest.fixture(scope="module")
+def compiled_context():
+    with ExecutionContext(RuntimeConfig(backend="compiled")) as context:
+        yield context
+
+
+@pytest.fixture(scope="module")
+def scalar_context():
+    with ExecutionContext(RuntimeConfig(backend="scalar")) as context:
+        yield context
 
 
 class TestWireSizingIncremental:
@@ -35,9 +44,9 @@ class TestWireSizingIncremental:
         return WireSizingProblem(num_sections=24)
 
     @pytest.mark.parametrize("model", ["rc", "rlc"])
-    def test_matches_escape_hatch(self, problem, model):
+    def test_matches_escape_hatch(self, problem, model, compiled_context):
         fast = optimize_width(problem, model=model)
-        slow = optimize_width(problem, model=model, config=COMPILED)
+        slow = optimize_width(problem, model=model, context=compiled_context)
         assert fast.width == pytest.approx(slow.width, rel=1e-9)
         assert fast.delay == pytest.approx(slow.delay, rel=1e-9)
         assert fast.evaluations == slow.evaluations
@@ -70,18 +79,24 @@ class TestBufferInsertionIncremental:
         )
 
     @pytest.mark.parametrize("model", ["rc", "rlc"])
-    def test_line_matches_escape_hatch(self, buffer_cell, model):
+    def test_line_matches_escape_hatch(
+        self, buffer_cell, model, scalar_context
+    ):
         line = single_line(
             12, resistance=120.0, inductance=1e-9, capacitance=0.4e-12
         )
         fast = insert_buffers(line, buffer_cell, model=model)
-        slow = insert_buffers(line, buffer_cell, model=model, config=SCALAR)
+        slow = insert_buffers(
+            line, buffer_cell, model=model, context=scalar_context
+        )
         assert fast.buffer_nodes == slow.buffer_nodes
         assert fast.required_at_root == slow.required_at_root
         assert fast.root_capacitance == slow.root_capacitance
 
     @pytest.mark.parametrize("model", ["rc", "rlc"])
-    def test_random_trees_match_escape_hatch(self, buffer_cell, model):
+    def test_random_trees_match_escape_hatch(
+        self, buffer_cell, model, scalar_context
+    ):
         rng = default_rng(11)
         for trial in range(5):
             tree = random_tree(18, rng)
@@ -103,7 +118,7 @@ class TestBufferInsertionIncremental:
                 sink_capacitance=pins,
                 model=model,
                 driver_resistance=30.0,
-                config=SCALAR,
+                context=scalar_context,
             )
             assert fast.buffer_nodes == slow.buffer_nodes, (model, trial)
             assert fast.required_at_root == slow.required_at_root
@@ -115,9 +130,11 @@ class TestClockTuningIncremental:
     def mismatched(self):
         return perturbed_clock_tree(h_tree(levels=3), 0.15, seed=5)
 
-    def test_matches_escape_hatch(self, mismatched):
+    def test_matches_escape_hatch(self, mismatched, compiled_context):
         fast = tune_clock_tree(mismatched, iterations=8)
-        slow = tune_clock_tree(mismatched, iterations=8, config=COMPILED)
+        slow = tune_clock_tree(
+            mismatched, iterations=8, context=compiled_context
+        )
         assert set(fast.widths) == set(slow.widths)
         for name in fast.widths:
             assert fast.widths[name] == pytest.approx(

@@ -14,7 +14,7 @@ from repro.apps import (
 )
 from repro.circuit import fig5_tree, scale_tree_to_zeta
 from repro.errors import ConfigurationError, ReproError
-from repro.runtime import RuntimeConfig
+from repro.runtime import ExecutionContext, RuntimeConfig
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,10 @@ class TestDegenerateSampleCounts:
         assert study.rank_correlation() == pytest.approx(1.0)
 
 
+def _workers(count):
+    return ExecutionContext(RuntimeConfig(workers=count))
+
+
 class TestShardedSampling:
     """A worker budget routes through the dispatch pool with bitwise-equal
     draws."""
@@ -174,10 +178,11 @@ class TestShardedSampling:
         serial = sample_delays(
             tree, "n7", VariationModel(), samples=40, seed=11
         )
-        sharded = sample_delays(
-            tree, "n7", VariationModel(), samples=40, seed=11,
-            config=RuntimeConfig(workers=2),
-        )
+        with _workers(2) as context:
+            sharded = sample_delays(
+                tree, "n7", VariationModel(), samples=40, seed=11,
+                context=context,
+            )
         np.testing.assert_array_equal(serial.rlc.values, sharded.rlc.values)
         np.testing.assert_array_equal(serial.rc.values, sharded.rc.values)
 
@@ -185,10 +190,11 @@ class TestShardedSampling:
         serial = sample_delays(
             tree, "n7", VariationModel(), samples=20, seed=4
         )
-        explicit = sample_delays(
-            tree, "n7", VariationModel(), samples=20, seed=4,
-            config=RuntimeConfig(workers=1),
-        )
+        with _workers(1) as context:
+            explicit = sample_delays(
+                tree, "n7", VariationModel(), samples=20, seed=4,
+                context=context,
+            )
         np.testing.assert_array_equal(serial.rlc.values, explicit.rlc.values)
 
     def test_rng_stream_unaffected_by_workers(self, tree):
@@ -197,10 +203,11 @@ class TestShardedSampling:
             tree, "n7", VariationModel(), samples=12, exact_samples=3,
             seed=8,
         )
-        sharded = sample_delays(
-            tree, "n7", VariationModel(), samples=12, exact_samples=3,
-            seed=8, config=RuntimeConfig(workers=2),
-        )
+        with _workers(2) as context:
+            sharded = sample_delays(
+                tree, "n7", VariationModel(), samples=12, exact_samples=3,
+                seed=8, context=context,
+            )
         np.testing.assert_array_equal(
             serial.exact.values, sharded.exact.values
         )

@@ -5,14 +5,18 @@ import pytest
 
 from repro.apps import WireSizingProblem, optimize_width, sweep_widths
 from repro.errors import ReproError
-from repro.runtime import RuntimeConfig
-
-PARALLEL = RuntimeConfig(workers=2)
+from repro.runtime import ExecutionContext, RuntimeConfig
 
 
 @pytest.fixture(scope="module")
 def problem():
     return WireSizingProblem()
+
+
+@pytest.fixture(scope="module")
+def parallel():
+    with ExecutionContext(RuntimeConfig(workers=2)) as context:
+        yield context
 
 
 class TestPhysicalModel:
@@ -105,16 +109,16 @@ class TestSweepWidths:
         np.testing.assert_array_equal(delays, expected)
 
     @pytest.mark.parametrize("model", ["rc", "rlc"])
-    def test_workers_bitwise_identical(self, problem, model):
+    def test_workers_bitwise_identical(self, problem, model, parallel):
         serial = sweep_widths(problem, self.WIDTHS, model=model)
         sharded = sweep_widths(
-            problem, self.WIDTHS, model=model, config=PARALLEL
+            problem, self.WIDTHS, model=model, context=parallel
         )
         np.testing.assert_array_equal(serial, sharded)
 
-    def test_sweep_brackets_the_optimum(self, problem):
+    def test_sweep_brackets_the_optimum(self, problem, parallel):
         result = optimize_width(problem)
-        delays = sweep_widths(problem, self.WIDTHS, config=PARALLEL)
+        delays = sweep_widths(problem, self.WIDTHS, context=parallel)
         assert delays.min() >= result.delay - 1e-18
         assert delays.min() <= 1.2 * result.delay
 
@@ -125,6 +129,6 @@ class TestSweepWidths:
         with pytest.raises(ReproError):
             sweep_widths(problem, self.WIDTHS, model="hspice")
 
-    def test_out_of_range_width_rejected(self, problem):
+    def test_out_of_range_width_rejected(self, problem, parallel):
         with pytest.raises(ReproError):
-            sweep_widths(problem, [problem.max_width * 2], config=PARALLEL)
+            sweep_widths(problem, [problem.max_width * 2], context=parallel)

@@ -225,3 +225,50 @@ def scalar_report(tree, settle_band=0.1):
         scalar_timing(node, t_rc[node], t_lc[node], settle_band)
         for node in tree.nodes
     ]
+
+
+def variation_reference(tree, node, variation, samples, seed):
+    """``sample_delays``'s (RLC, RC) delay samples as one batch.
+
+    The whole ``(S, 3, n)`` value block comes from one draw of a fresh
+    generator and goes through one ``analyze_batch`` call; the chunked
+    sweep must reproduce it bitwise at every chunk size.
+    """
+    import math
+
+    from repro.engine import compile_tree
+    from repro.engine.table import analyze_batch
+
+    compiled = compile_tree(tree)
+    sig = np.asarray(variation.log_sigmas())
+    nominal = np.stack(
+        [compiled.resistance, compiled.inductance, compiled.capacitance]
+    )
+    z = np.random.default_rng(seed).standard_normal(
+        (samples, compiled.size, 3)
+    )
+    factors = np.exp(-0.5 * sig * sig + sig * z).transpose(0, 2, 1)
+    batch = analyze_batch(
+        compiled, factors * nominal, metrics=("delay_50", "t_rc")
+    )
+    return (
+        batch.column("delay_50", node),
+        math.log(2.0) * batch.column("t_rc", node),
+    )
+
+
+def width_sweep_reference(problem, widths, model):
+    """``sweep_widths``'s delays as one batch: one extracted tree per
+    width, stacked into one ``(S, 3, n)`` block."""
+    from repro.engine import compile_tree
+    from repro.engine.table import analyze_batch
+
+    compiled = [compile_tree(problem.tree(w, model)) for w in widths]
+    block = np.stack(
+        [
+            np.stack([ct.resistance, ct.inductance, ct.capacitance])
+            for ct in compiled
+        ]
+    )
+    batch = analyze_batch(compiled[0], block, metrics=("delay_50",))
+    return batch.column("delay_50", problem.sink())

@@ -563,6 +563,29 @@ class TestTimingTableLifecycle:
         analyzer.timing_table()
         assert incremental_cache_info()["full_metric_refreshes"] == 1
 
+    def test_session_tables_share_the_topology_index(self, fig5):
+        """Every table of an incremental session reuses its topology's
+        name->row dict instead of rebuilding one per call, also after a
+        structural edit replaced the topology."""
+        from repro.runtime import ExecutionContext, RuntimeConfig
+
+        config = RuntimeConfig(backend="incremental")
+        with ExecutionContext(config) as context:
+            session = context.session(fig5, kind="edit")
+            editor = session.editor()
+            topology = editor.snapshot().topology
+            assert session.table()._index is topology.index
+            assert session.table()._index is topology.index
+            graft = RLCTree("graft")
+            graft.add_section("g1", "graft", resistance=5.0,
+                              inductance=1e-9, capacitance=1e-13)
+            editor.attach_subtree("n7", graft)
+            grown = editor.snapshot().topology
+            assert grown is not topology
+            table = session.table()
+            assert table._index is grown.index
+            assert table.index("g1") == grown.index["g1"]
+
     def test_generation_moves_only_when_the_table_can_change(self, fig5):
         analyzer = IncrementalAnalyzer(fig5, flush_threshold=1.0)
         seen = [analyzer.generation]

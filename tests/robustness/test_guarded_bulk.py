@@ -68,6 +68,11 @@ def ctx():
         yield context
 
 
+def forced(backend):
+    """A context that forces every session onto ``backend``."""
+    return ExecutionContext(RuntimeConfig(backend=backend))
+
+
 def poison(guarded, metric_column, node):
     """Make one table entry non-finite in the analyzer's own table."""
     table = guarded._session.table()
@@ -201,9 +206,7 @@ class TestOneTableResolvePerGeneration:
 
     def test_incremental_edits_show(self, resolves):
         tree = TREES["random1"]
-        guarded = GuardedAnalyzer(
-            tree, config=RuntimeConfig(backend="incremental")
-        )
+        guarded = GuardedAnalyzer(tree, context=forced("incremental"))
         node = tree.nodes[-1]
         before = guarded.timing(node)
         guarded._session.editor().set_resistance(
@@ -280,9 +283,7 @@ class TestMaskedRowsEscalate:
         tree = RLCTree()
         tree.add_section("a", "in", resistance=0.0, inductance=1e-9,
                          capacitance=1e-12)
-        guarded = GuardedAnalyzer(
-            tree, config=RuntimeConfig(backend="incremental")
-        )
+        guarded = GuardedAnalyzer(tree, context=forced("incremental"))
         with pytest.raises(FallbackExhaustedError) as excinfo:
             guarded.report()
         first = excinfo.value.attempts[0]
@@ -319,8 +320,7 @@ class TestFallbackCasesWalkPerQuery:
 
     def test_scalar_session_reads_the_table(self, walks):
         tree = fig5_tree()
-        config = RuntimeConfig(backend="scalar")
-        rows = GuardedAnalyzer(tree, config=config).report()
+        rows = GuardedAnalyzer(tree, context=forced("scalar")).report()
         assert walks == []
         assert rows == GuardedAnalyzer(tree).report()
 

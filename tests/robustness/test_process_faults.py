@@ -267,10 +267,7 @@ class TestContextLevelRecovery:
         # One crash during a sharded dispatch: the call succeeds (retry),
         # the rebuild trips the breaker, the *next* plan degrades with
         # provenance, and stats record the whole story.
-        config = RuntimeConfig(
-            workers=2, shard_timeout=5.0, max_retries=2,
-            breaker_cooldown=300.0,
-        )
+        config = RuntimeConfig(workers=2, shard_timeout=5.0, max_retries=2)
         with ExecutionContext(config) as context:
             reference = context.analyze_many(trees, backend="compiled")
             plan = ProcessFaultPlan({1: ProcessFault("crash")})

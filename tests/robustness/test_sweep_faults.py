@@ -17,6 +17,7 @@ from repro.robustness import ProcessFault, ProcessFaultPlan
 from repro.runtime import (
     ExecutionContext,
     RuntimeConfig,
+    planner,
     reset_degradation_warnings,
 )
 from repro.runtime import backends as backends_module
@@ -88,10 +89,8 @@ class TestMidSweepWorkerKill:
         monkeypatch.setattr(
             backends_module, "analyze_batch_sharded", faulting
         )
-        config = RuntimeConfig(
-            workers=2, sharded_min_cells=1, shard_timeout=5.0,
-            max_retries=2,
-        )
+        monkeypatch.setattr(planner, "SHARDED_MIN_CELLS", 1)
+        config = RuntimeConfig(workers=2, shard_timeout=5.0, max_retries=2)
         with ExecutionContext(config) as context:
             result = run_sweep(
                 sweep,

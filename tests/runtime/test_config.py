@@ -16,19 +16,19 @@ class TestValidation:
         "kwargs",
         [
             {"backend": "turbo"},
+            # Backend names are case-sensitive.
+            {"backend": "Compiled"},
             {"workers": -1},
-            {"shards": 0},
-            {"flush_threshold": 1.5},
-            {"flush_threshold": -0.1},
             {"shard_timeout": 0.0},
-            {"sharded_min_cells": -1},
-            # NaN passed the old ``x < 0`` guards: a NaN backoff crashed
-            # the first retry in time.sleep and a NaN cooldown kept a
-            # tripped breaker open for good.
-            {"retry_backoff": float("nan")},
-            {"breaker_cooldown": float("nan")},
+            {"shard_timeout": -1.0},
+            # NaN passed the old ``x < 0`` guards.
             {"shard_timeout": float("nan")},
-            {"sharded_min_cells": float("nan")},
+            {"max_retries": -1},
+            # A calibration must be a loaded cost model: not a bare
+            # threshold, not the path of its JSON file.
+            {"calibration": object()},
+            {"calibration": 4096},
+            {"calibration": "BENCH_crossover.json"},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -42,7 +42,6 @@ class TestValidation:
     def test_with_copies_validate(self):
         config = RuntimeConfig()
         assert config.with_backend("scalar").backend == "scalar"
-        assert config.with_workers(4).workers == 4
         assert config.with_backend("scalar") is not config
         with pytest.raises(ConfigurationError):
             config.with_backend("turbo")

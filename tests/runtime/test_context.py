@@ -153,11 +153,8 @@ class TestDefaultContext:
     def test_resolve_precedence(self):
         context = ExecutionContext()
         assert resolve_context(context) is context
-        ephemeral = resolve_context(None, RuntimeConfig(workers=1))
-        assert ephemeral is not default_context()
-        assert ephemeral.config.workers == 1
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_context(context, RuntimeConfig())
+        assert resolve_context() is default_context()
+        assert resolve_context(None) is default_context()
 
     def test_batch_workload_metadata(self, fig5):
         context = ExecutionContext()

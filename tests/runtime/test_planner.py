@@ -64,8 +64,8 @@ class TestAutoRouting:
                 "compiled",
             ),
             (
-                Workload("batch", tree_size=10, scenarios=10),
-                RuntimeConfig(workers=2, sharded_min_cells=100),
+                Workload("batch", tree_size=10, scenarios=410),
+                RuntimeConfig(workers=2),
                 "sharded",
             ),
             # edit: delta updates are the whole point

@@ -70,6 +70,16 @@ class TestSingleSection:
     def test_stability(self, simulator):
         assert simulator.is_stable()
 
+    def test_dc_gain_of_critically_damped_section(self):
+        # zeta = 1 exactly: A is defective and has no modal basis, but
+        # the DC operating point still exists.
+        sim = ExactSimulator(
+            single_line(1, resistance=2.0, inductance=1e-12, capacitance=1e-12)
+        )
+        with pytest.raises(SimulationError, match="defective"):
+            sim.poles()
+        assert sim.dc_gain("n1") == pytest.approx(1.0)
+
 
 class TestMultiNode:
     def test_response_shapes(self, fig5):

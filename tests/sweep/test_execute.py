@@ -14,7 +14,7 @@ from repro.circuit import fig5_tree
 from repro.engine import compile_tree
 from repro.engine.table import analyze_batch
 from repro.errors import ConfigurationError
-from repro.runtime import ExecutionContext, RuntimeConfig
+from repro.runtime import ExecutionContext, RuntimeConfig, planner
 from repro.sweep import (
     clip,
     compile_sweep,
@@ -90,8 +90,11 @@ class TestChunkBoundaries:
             assert columns[metric].tobytes() == reference.tobytes()
         assert stats["chunks"] == -(-S // chunk_size)
 
-    def test_sharded_chunks_match_serial(self, sweep, compiled, eager):
-        config = RuntimeConfig(workers=2, sharded_min_cells=1)
+    def test_sharded_chunks_match_serial(
+        self, sweep, compiled, eager, monkeypatch
+    ):
+        monkeypatch.setattr(planner, "SHARDED_MIN_CELLS", 1)
+        config = RuntimeConfig(workers=2)
         columns, stats = collect(sweep, compiled, 32, config=config)
         for metric in METRICS:
             reference = eager.column(metric, "n7")

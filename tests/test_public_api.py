@@ -47,14 +47,8 @@ def test_runtime_config_knobs_are_pinned():
     assert tuple(f.name for f in fields(RuntimeConfig)) == (
         "backend",
         "workers",
-        "shards",
-        "flush_threshold",
-        "sharded_min_cells",
         "shard_timeout",
         "max_retries",
-        "retry_backoff",
-        "breaker_threshold",
-        "breaker_cooldown",
         "calibration",
     )
 
@@ -74,6 +68,43 @@ def test_guarded_analyzer_knobs_are_pinned():
         "policy",
         "awe_order",
         "max_rescale_retries",
-        "config",
         "context",
     )
+
+
+@pytest.mark.parametrize(
+    "module, name, keywords",
+    [
+        (
+            "repro.sweep.execute",
+            "run_sweep",
+            ("nodes", "metrics", "chunk_size", "settle_band", "backend",
+             "context"),
+        ),
+        (
+            "repro.sweep.execute",
+            "iter_sweep",
+            ("chunk_size", "settle_band", "metrics", "backend", "context"),
+        ),
+        ("repro.apps.variation", "sample_delays", ("chunk_size", "context")),
+        ("repro.apps.wire_sizing", "sweep_widths", ("chunk_size", "context")),
+        ("repro.apps.wire_sizing", "optimize_width", ("context",)),
+        ("repro.apps.clock_skew", "skew_report", ("context",)),
+        ("repro.apps.repeater_insertion", "stage_delay", ("context",)),
+        ("repro.apps.repeater_insertion", "total_path_delay", ("context",)),
+        ("repro.apps.repeater_insertion", "optimize_repeaters", ("context",)),
+        ("repro.apps.buffer_insertion", "insert_buffers", ("context",)),
+        ("repro.apps.clock_tuning", "model_skew", ("context",)),
+        ("repro.apps.clock_tuning", "tune_clock_tree", ("context",)),
+    ],
+)
+def test_entry_point_keywords_are_pinned(module, name, keywords):
+    # One way to pass a runtime (``context=``), no eager second path: a
+    # new keyword edits its tuple, in plain view of review.
+    import inspect
+
+    function = getattr(importlib.import_module(module), name)
+    params = inspect.signature(function).parameters.values()
+    assert tuple(
+        p.name for p in params if p.kind is p.KEYWORD_ONLY
+    ) == keywords
